@@ -1,8 +1,8 @@
 // Backend pushdown: serving a paginated certain-answer stream through
 // the in-memory engine vs the embedded-SQLite backend.
 //
-// The two series measure DIFFERENT residency contracts on purpose. The
-// in-memory backend serves streams from the session's resident answer
+// The two series measure DIFFERENT residency contracts on purpose. An
+// in-memory tenant serves streams from the session's resident answer
 // cache — the cost of keeping the tenant in RAM. The SQLite series
 // opens a snapshot cursor per stream and executes the lowered rewriting
 // as SQL over the per-tenant file on EVERY stream — the cost of NOT

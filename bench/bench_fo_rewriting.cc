@@ -106,9 +106,11 @@ void BM_Fo_CertainAnswersParallel(benchmark::State& state) {
   Session session(std::move(db), options);
   Query q = corpus::PathQuery2();
   std::vector<SymbolId> fv = {InternSymbol("x")};
+  std::shared_ptr<const QueryPlan> plan =
+      PlanCache::Global().GetOrCompile(q, fv).value();
   size_t answers = 0;
   for (auto _ : state) {
-    answers = (*session.CertainAnswers(q, fv))->size();
+    answers = (*session.CertainAnswers(plan, q, fv))->size();
     benchmark::DoNotOptimize(answers);
   }
   state.counters["facts"] = facts;

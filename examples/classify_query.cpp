@@ -29,9 +29,14 @@ void Report(const std::string& name, const cqa::Query& q, bool dot) {
   std::printf("  => CERTAINTY(q) is %s\n",
               ComplexityClassName(cls->complexity));
   if (cls->complexity == ComplexityClass::kFirstOrder) {
-    Result<std::string> sql = CertainSqlRewriting(q);
-    if (sql.ok()) {
-      std::printf("  SQL certain rewriting:\n    %s\n", sql->c_str());
+    // The rewriting as the SQLite backend runs it: relations are tables
+    // of interned-symbol INTEGER columns (fo/sql_lower.h).
+    Result<std::shared_ptr<const QueryPlan>> plan = QueryPlan::Compile(q);
+    if (plan.ok() && (*plan)->fo_program() != nullptr) {
+      Result<std::string> sql = BooleanSolveSql(*(*plan)->fo_program());
+      if (sql.ok()) {
+        std::printf("  SQL certain rewriting:\n    %s\n", sql->c_str());
+      }
     }
   }
   std::printf("\n");

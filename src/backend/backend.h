@@ -14,21 +14,17 @@
 #include "util/status.h"
 
 /// \file
-/// Pluggable execution backends — where a certainty decision actually
-/// runs. The serving tier (serve/session.h) owns the authoritative
-/// in-memory `Database` and the compiled `QueryPlan`s; a `Backend`
-/// decides how plan evaluation and answer enumeration execute:
-///
-///   * `InMemoryBackend` is the identity backend: it declines every
-///     pushdown, so the session runs today's `FoProgram` / solver path
-///     unchanged — byte-identical behaviour, zero overhead;
-///   * `SqliteBackend` (backend/sqlite_backend.cc, compiled when
-///     CQA_WITH_SQLITE is ON) mirrors the tenant's facts into an
-///     embedded SQLite database — a per-tenant file under the tenant
-///     dir, or `:memory:` — and executes FO-rewritable plans as plain
-///     SQL (fo/sql_lower.h): the ConQuer deployment path, pointed at
-///     tenants whose working set should not live in the session's RAM
-///     indexes.
+/// Pushdown execution backends — where a certainty decision runs when
+/// it does not run in the session's own engine. The serving tier
+/// (serve/session.h) owns the authoritative in-memory `Database` and
+/// the compiled `QueryPlan`s, and a session without a backend serves
+/// every plan through its `FoProgram` / solver path. The one backend,
+/// `SqliteBackend` (backend/sqlite_backend.cc, compiled when
+/// CQA_WITH_SQLITE is ON), mirrors the tenant's facts into an embedded
+/// SQLite database — a per-tenant file under the tenant dir, or
+/// `:memory:` — and executes FO-rewritable plans as plain SQL
+/// (fo/sql_lower.h): the ConQuer deployment path, pointed at tenants
+/// whose working set should not live in the session's RAM indexes.
 ///
 /// The contract is *decline-based*: every pushdown entry point may
 /// answer "not me" (nullopt / null cursor / SupportsNatively == false),
@@ -49,6 +45,7 @@ namespace cqa {
 
 /// Per-database backend selection, carried by `Service::Options` (the
 /// default for every database) and per-database `CreateDatabase`.
+/// `kInMemory` means no backend: the session serves everything itself.
 struct BackendOptions {
   enum class Kind : uint8_t { kInMemory, kSqlite };
   Kind kind = Kind::kInMemory;
@@ -64,29 +61,33 @@ struct BackendOptions {
   size_t resident_budget_facts = 0;
 };
 
-class Backend {
+/// A paginated view over one certain-answer set pinned to a stable
+/// snapshot: pages fetched later never see mid-stream deltas. The
+/// `Service` pages every stream through one: an in-memory row-set
+/// snapshot, or a backend's pinned read snapshot (for SQLite, a held
+/// read transaction on a dedicated connection).
+class AnswerCursor {
  public:
   /// An answer set, identical in shape and order contract to
   /// `Session::RowSet`: distinct rows, sorted lexicographically.
   using RowSet = std::vector<std::vector<SymbolId>>;
+
+  virtual ~AnswerCursor() = default;
+  /// Rows in the pinned answer set.
+  virtual size_t total_rows() const = 0;
+  /// Rows [offset, offset + limit) of the set, in set order.
+  virtual Result<RowSet> Fetch(size_t offset, size_t limit) = 0;
+};
+
+class Backend {
+ public:
+  using RowSet = AnswerCursor::RowSet;
 
   /// One validated primitive mutation of a committed delta (the
   /// session's apply order, insertion-then-removal sequence preserved).
   struct Mutation {
     bool add = false;
     Fact fact;
-  };
-
-  /// A paginated view over one certain-answer set pinned to a stable
-  /// snapshot (for SQLite, a held read transaction on a dedicated
-  /// connection): pages fetched later never see mid-stream deltas.
-  class AnswerCursor {
-   public:
-    virtual ~AnswerCursor() = default;
-    /// Rows in the pinned answer set.
-    virtual size_t total_rows() const = 0;
-    /// Rows [offset, offset + limit) of the set, in set order.
-    virtual Result<RowSet> Fetch(size_t offset, size_t limit) = 0;
   };
 
   struct Stats {
@@ -112,8 +113,6 @@ class Backend {
   };
 
   virtual ~Backend() = default;
-
-  virtual BackendOptions::Kind kind() const = 0;
 
   /// Rebuilds the backend's mirror from `db` at `epoch` (session
   /// construction / store recovery). Called before any serving.
@@ -182,11 +181,6 @@ class Backend {
   /// Releases every on-disk resource (the tenant is being dropped).
   virtual void TearDown() {}
 };
-
-/// The identity backend: declines every pushdown, partitions rows,
-/// admits every fallback — the session behaves exactly as without a
-/// backend.
-std::unique_ptr<Backend> MakeInMemoryBackend();
 
 /// True when this build carries the SQLite backend (CQA_WITH_SQLITE).
 bool SqliteBackendAvailable();

@@ -1,8 +1,8 @@
 /// \file
 /// The embedded-SQLite execution backend (see backend/backend.h for the
-/// contract). Compiled only under CQA_WITH_SQLITE — the whole
-/// translation unit is empty otherwise, so default builds need no
-/// SQLite anywhere.
+/// contract). Compiled only under CQA_WITH_SQLITE — otherwise the
+/// translation unit holds just the factory stub that fails Unsupported,
+/// so default builds need no SQLite anywhere.
 ///
 /// Shape: ONE main connection, serialized by a mutex, owns the mirror —
 /// per-relation tables of INTEGER SymbolId columns rebuilt on Load and
@@ -16,6 +16,8 @@
 /// backend — it starts declining every pushdown and the session serves
 /// from its authoritative in-memory state.
 
+#include "backend/backend.h"
+
 #if defined(CQA_WITH_SQLITE)
 
 #include <sqlite3.h>
@@ -26,7 +28,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "backend/backend.h"
 #include "fo/sql_lower.h"
 
 namespace cqa {
@@ -55,7 +56,7 @@ void Finalize(sqlite3_stmt** stmt) {
   }
 }
 
-class SqliteCursor : public Backend::AnswerCursor {
+class SqliteCursor : public AnswerCursor {
  public:
   SqliteCursor(sqlite3* conn, sqlite3_stmt* page_stmt, size_t total,
                size_t width)
@@ -71,11 +72,11 @@ class SqliteCursor : public Backend::AnswerCursor {
 
   size_t total_rows() const override { return total_; }
 
-  Result<Backend::RowSet> Fetch(size_t offset, size_t limit) override {
+  Result<RowSet> Fetch(size_t offset, size_t limit) override {
     std::lock_guard<std::mutex> lock(mu_);
     sqlite3_bind_int64(page_stmt_, 1, static_cast<sqlite3_int64>(limit));
     sqlite3_bind_int64(page_stmt_, 2, static_cast<sqlite3_int64>(offset));
-    Backend::RowSet rows;
+    RowSet rows;
     int rc;
     while ((rc = sqlite3_step(page_stmt_)) == SQLITE_ROW) {
       std::vector<SymbolId> row(width_);
@@ -130,10 +131,6 @@ class SqliteBackend : public Backend {
       CQA_RETURN_NOT_OK(ExecLocked("PRAGMA synchronous=NORMAL"));
     }
     return Status::OK();
-  }
-
-  BackendOptions::Kind kind() const override {
-    return BackendOptions::Kind::kSqlite;
   }
 
   Status Load(const Database& db, uint64_t epoch) override {
@@ -648,6 +645,22 @@ Result<std::unique_ptr<Backend>> MakeSqliteBackend(
   auto backend = std::make_unique<SqliteBackend>(path, resident_budget_facts);
   CQA_RETURN_NOT_OK(backend->Open());
   return std::unique_ptr<Backend>(std::move(backend));
+}
+
+}  // namespace cqa
+
+#else  // !CQA_WITH_SQLITE
+
+namespace cqa {
+
+bool SqliteBackendAvailable() { return false; }
+
+Result<std::unique_ptr<Backend>> MakeSqliteBackend(
+    const std::string& path, size_t resident_budget_facts) {
+  (void)path;
+  (void)resident_budget_facts;
+  return Status::Unsupported(
+      "this build has no SQLite backend (configure with -DCQA_WITH_SQLITE=ON)");
 }
 
 }  // namespace cqa

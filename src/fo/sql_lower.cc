@@ -4,8 +4,6 @@
 #include <set>
 #include <utility>
 
-#include "fo/sql_gen.h"
-
 namespace cqa {
 
 namespace {
@@ -219,6 +217,16 @@ std::string AnswersSelectList(const FoProgram& program) {
 }
 
 }  // namespace
+
+std::string QuoteSqlIdentifier(const std::string& name) {
+  std::string out = "\"";
+  for (char c : name) {
+    if (c == '"') out += "\"\"";
+    else out += c;
+  }
+  out += "\"";
+  return out;
+}
 
 std::string SqlTableName(SymbolId relation) {
   return QuoteSqlIdentifier(SymbolName(relation));

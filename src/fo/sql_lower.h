@@ -9,12 +9,14 @@
 #include "util/status.h"
 
 /// \file
-/// SQL lowering of compiled FO plans — the execution-grade twin of
-/// fo/sql_gen.h. The pretty-printer walks the Formula AST and renders
-/// symbol *names*; this lowering walks the flat physical `FoProgram`
-/// (one correlated EXISTS / NOT EXISTS subquery per semijoin / antijoin
-/// op) and renders a statement an embedded RDBMS executes over a table
-/// mirror that stores interned `SymbolId`s as INTEGER columns:
+/// SQL generation for certain first-order rewritings — the deployment
+/// path pioneered by Fuxman–Miller's ConQuer: when CERTAINTY(q) is
+/// FO-expressible, the rewriting runs as plain SQL over the
+/// *inconsistent* database, no repair enumeration anywhere. The
+/// lowering walks the flat physical `FoProgram` (one correlated
+/// EXISTS / NOT EXISTS subquery per semijoin / antijoin op) and renders
+/// a statement an embedded RDBMS executes over a table mirror that
+/// stores interned `SymbolId`s as INTEGER columns:
 ///
 ///   * relation R of arity n is a table `QuoteSqlIdentifier(name)` with
 ///     INTEGER columns c1..cn (key positions first), PRIMARY KEY over
@@ -34,6 +36,13 @@
 /// never produce them, so every FO-rewritable plan lowers.
 
 namespace cqa {
+
+/// Renders `name` as a quoted SQL identifier: wrapped in double quotes
+/// with embedded double quotes doubled. Relation names are user input
+/// (the same hostile-name discipline store/ applies to tenant dirs):
+/// a relation named `R; DROP TABLE` or `R" OR "1"="1` must land in the
+/// emitted SQL as data, never as syntax.
+std::string QuoteSqlIdentifier(const std::string& name);
 
 /// The table identifier (already quoted) mirroring `relation`.
 std::string SqlTableName(SymbolId relation);

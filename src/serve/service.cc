@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <limits>
 #include <utility>
 
 namespace cqa {
@@ -20,6 +21,23 @@ std::string PageToken(uint64_t cursor_id, size_t offset) {
   return "v1:" + std::to_string(cursor_id) + ":" + std::to_string(offset);
 }
 
+/// Parses the decimal digits token[begin, end) into *out; false on a
+/// non-digit or a value that overflows T (it would wrap onto a number
+/// we did mint).
+template <typename T>
+bool ParseDecimal(const std::string& token, size_t begin, size_t end,
+                  T* out) {
+  T value = 0;
+  for (size_t i = begin; i < end; ++i) {
+    if (token[i] < '0' || token[i] > '9') return false;
+    T digit = static_cast<T>(token[i] - '0');
+    if (value > (std::numeric_limits<T>::max() - digit) / 10) return false;
+    value = value * 10 + digit;
+  }
+  *out = value;
+  return true;
+}
+
 /// Inverse of PageToken; false on any malformation (tokens are opaque
 /// to clients — anything we did not mint is InvalidArgument).
 bool ParsePageToken(const std::string& token, uint64_t* cursor_id,
@@ -29,19 +47,44 @@ bool ParsePageToken(const std::string& token, uint64_t* cursor_id,
   if (sep == std::string::npos || sep == 3 || sep + 1 >= token.size()) {
     return false;
   }
-  uint64_t id = 0;
-  size_t off = 0;
-  for (size_t i = 3; i < sep; ++i) {
-    if (token[i] < '0' || token[i] > '9') return false;
-    id = id * 10 + static_cast<uint64_t>(token[i] - '0');
+  return ParseDecimal(token, 3, sep, cursor_id) &&
+         ParseDecimal(token, sep + 1, token.size(), offset);
+}
+
+/// The in-memory answer cursor: pages over one immutable row-set
+/// snapshot shared with the session's answer cache, so later deltas
+/// never reach it.
+class SnapshotCursor : public AnswerCursor {
+ public:
+  explicit SnapshotCursor(std::shared_ptr<const Session::RowSet> rows)
+      : rows_(std::move(rows)) {}
+
+  size_t total_rows() const override { return rows_->size(); }
+
+  Result<RowSet> Fetch(size_t offset, size_t limit) override {
+    size_t begin = std::min(offset, rows_->size());
+    size_t end = begin + std::min(limit, rows_->size() - begin);
+    return RowSet(rows_->begin() + static_cast<ptrdiff_t>(begin),
+                  rows_->begin() + static_cast<ptrdiff_t>(end));
   }
-  for (size_t i = sep + 1; i < token.size(); ++i) {
-    if (token[i] < '0' || token[i] > '9') return false;
-    off = off * 10 + static_cast<size_t>(token[i] - '0');
-  }
-  *cursor_id = id;
-  *offset = off;
-  return true;
+
+ private:
+  std::shared_ptr<const Session::RowSet> rows_;
+};
+
+/// Rows [offset, offset + limit) of a stream as one response: the page
+/// path of every stream, first page and continuations alike.
+Result<Service::CertainAnswersResponse> FetchPage(AnswerCursor& answers,
+                                                  uint64_t epoch,
+                                                  size_t offset,
+                                                  size_t limit) {
+  Result<AnswerCursor::RowSet> rows = answers.Fetch(offset, limit);
+  if (!rows.ok()) return rows.status();
+  Service::CertainAnswersResponse response;
+  response.rows = std::move(rows).value();  // `*` would copy every row
+  response.total_rows = answers.total_rows();
+  response.epoch = epoch;
+  return response;
 }
 
 void Accumulate(Session::Stats* into, const Session::Stats& from) {
@@ -88,9 +131,7 @@ void AccumulateBackend(Service::StatsResponse* into, const Backend& backend) {
   into->backend.statements_prepared += from.statements_prepared;
   into->backend.statement_cache_hits += from.statement_cache_hits;
   if (from.degraded) ++into->degraded_backends;
-  if (backend.kind() == BackendOptions::Kind::kSqlite) {
-    ++into->sqlite_databases;
-  }
+  ++into->sqlite_databases;  // SQLite is the one pushdown backend
 }
 
 /// Database names are arbitrary strings; directory names are not.
@@ -168,7 +209,7 @@ store::DbStore::Options Service::StoreOptions() const {
 Result<std::shared_ptr<Backend>> Service::MakeBackend(
     const std::string& name, const BackendOptions& backend_options) const {
   if (backend_options.kind == BackendOptions::Kind::kInMemory) {
-    return std::shared_ptr<Backend>(MakeInMemoryBackend());
+    return std::shared_ptr<Backend>();  // the session serves everything
   }
   // SQLite path resolution. The mirror is always a rebuilt-on-open
   // execution replica (the in-memory database stays authoritative), so
@@ -199,7 +240,6 @@ std::shared_ptr<Session> Service::MakeSession(
     uint64_t initial_epoch, const std::shared_ptr<Backend>& backend) {
   Session::Options session_options = options_.session;
   session_options.num_threads = options_.num_threads;
-  session_options.plan_cache = &plan_cache_;
   session_options.initial_epoch = initial_epoch;
   session_options.backend = backend;
   if (backend != nullptr) {
@@ -565,18 +605,6 @@ Result<Service::SolveResponse> Service::Solve(const SolveRequest& request) {
 
 // ------------------------------------------------------ certain answers
 
-Service::CertainAnswersResponse Service::MakePage(
-    const std::shared_ptr<const Session::RowSet>& snapshot, uint64_t epoch,
-    size_t offset, size_t end) {
-  const Session::RowSet& rows = *snapshot;
-  CertainAnswersResponse response;
-  response.total_rows = rows.size();
-  response.epoch = epoch;
-  response.rows.assign(rows.begin() + static_cast<ptrdiff_t>(offset),
-                       rows.begin() + static_cast<ptrdiff_t>(end));
-  return response;
-}
-
 Result<Service::CertainAnswersResponse> Service::ContinueStream(
     const CertainAnswersRequest& request) {
   if (request.prepared != nullptr || request.query.has_value()) {
@@ -591,11 +619,10 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
                                    request.page_token + "'");
   }
   // Under the lock: cursor bookkeeping only (O(1)). The page's rows are
-  // materialized AFTER release — an in-memory snapshot is immutable and
-  // a backend cursor serializes internally — so concurrent page fetches
+  // fetched AFTER release — an in-memory snapshot is immutable and a
+  // backend cursor serializes internally — so concurrent page fetches
   // never queue behind each other's row copies.
-  std::shared_ptr<const Session::RowSet> snapshot;
-  std::shared_ptr<Backend::AnswerCursor> backend_cursor;
+  std::shared_ptr<AnswerCursor> answers;
   uint64_t epoch = 0;
   size_t total = 0;
   size_t end = 0;
@@ -613,8 +640,7 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
           "page token belongs to database '" + cursor.database +
           "', not '" + request.database + "'");
     }
-    total = cursor.snapshot != nullptr ? cursor.snapshot->size()
-                                       : cursor.total_rows;
+    total = cursor.answers->total_rows();
     if (offset > total) {
       return Status::InvalidArgument("page token offset out of range");
     }
@@ -622,8 +648,7 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
         request.page_size > 0
             ? std::min(request.page_size, options_.max_page_size)
             : cursor.page_size;
-    snapshot = cursor.snapshot;
-    backend_cursor = cursor.backend_cursor;
+    answers = cursor.answers;
     epoch = cursor.epoch;
     end = std::min(offset + page_size, total);
     if (end >= total) {
@@ -632,21 +657,10 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
       cursor.last_use = ++cursor_clock_;
     }
   }
-  CertainAnswersResponse response;
-  if (snapshot != nullptr) {
-    response = MakePage(snapshot, epoch, offset, end);
-  } else {
-    // Backend-paged stream: the rows come straight off the backend's
-    // pinned read snapshot (e.g. a SQLite read transaction).
-    Result<Backend::RowSet> rows = backend_cursor->Fetch(offset, end - offset);
-    if (!rows.ok()) return rows.status();
-    response.rows = *std::move(rows);
-    response.total_rows = total;
-    response.epoch = epoch;
-  }
-  if (end < total) {
-    response.next_page_token = PageToken(cursor_id, end);
-  }
+  Result<CertainAnswersResponse> response =
+      FetchPage(*answers, epoch, offset, end - offset);
+  if (!response.ok()) return response.status();
+  if (end < total) response->next_page_token = PageToken(cursor_id, end);
   return response;
 }
 
@@ -697,57 +711,37 @@ Result<Service::CertainAnswersResponse> Service::CertainAnswers(
   // natively pages straight out of the backend — SQL LIMIT/OFFSET over
   // a pinned read snapshot — without ever materializing the full answer
   // set in session memory. A decline (null cursor) or a first-fetch
-  // failure falls through to the materialized path below.
-  if ((*plan)->parameterized()) {
-    uint64_t cursor_epoch = 0;
-    Result<std::shared_ptr<Backend::AnswerCursor>> pushed =
-        (*session)->OpenAnswerCursor(*plan, &cursor_epoch);
-    if (!pushed.ok()) return pushed.status();
-    if (*pushed != nullptr) {
-      size_t total = (*pushed)->total_rows();
-      size_t end = std::min(page_size, total);
-      Result<Backend::RowSet> rows = (*pushed)->Fetch(0, end);
-      if (rows.ok()) {
-        CertainAnswersResponse response;
-        response.rows = *std::move(rows);
-        response.total_rows = total;
-        response.epoch = cursor_epoch;
-        if (total <= page_size) {
-          return response;  // Single-page result: no cursor to track.
-        }
-        Cursor cursor;
-        cursor.database = request.database;
-        cursor.backend_cursor = *std::move(pushed);
-        cursor.total_rows = total;
-        cursor.epoch = cursor_epoch;
-        cursor.page_size = page_size;
-        response.next_page_token =
-            PageToken(RegisterCursor(std::move(cursor)), end);
-        return response;
-      }
-    }
-  }
-
+  // failure falls back to paging over the session's row-set snapshot.
   uint64_t epoch = 0;
-  Result<std::shared_ptr<const Session::RowSet>> snapshot =
-      (*session)->CertainAnswers(*plan, *q, *fv, &epoch, request.deadline);
-  if (!snapshot.ok()) return snapshot.status();
-
-  size_t total = (*snapshot)->size();
-  size_t end = std::min(page_size, total);
-  CertainAnswersResponse response = MakePage(*snapshot, epoch, 0, end);
-  if (total <= page_size) {
+  std::shared_ptr<AnswerCursor> answers;
+  if ((*plan)->parameterized()) {
+    Result<std::shared_ptr<AnswerCursor>> pushed =
+        (*session)->OpenAnswerCursor(*plan, &epoch);
+    if (!pushed.ok()) return pushed.status();
+    answers = std::move(pushed).value();
+  }
+  Result<CertainAnswersResponse> response =
+      Status::Unavailable("no backend cursor");
+  if (answers != nullptr) response = FetchPage(*answers, epoch, 0, page_size);
+  if (!response.ok()) {
+    Result<std::shared_ptr<const Session::RowSet>> snapshot =
+        (*session)->CertainAnswers(*plan, *q, *fv, &epoch, request.deadline);
+    if (!snapshot.ok()) return snapshot.status();
+    answers = std::make_shared<SnapshotCursor>(std::move(snapshot).value());
+    response = FetchPage(*answers, epoch, 0, page_size);
+    if (!response.ok()) return response.status();
+  }
+  if (response->total_rows <= page_size) {
     return response;  // Single-page result: no cursor to track.
   }
 
   Cursor cursor;
   cursor.database = request.database;
-  cursor.snapshot = *snapshot;
-  cursor.total_rows = total;
+  cursor.answers = std::move(answers);
   cursor.epoch = epoch;
   cursor.page_size = page_size;
-  response.next_page_token =
-      PageToken(RegisterCursor(std::move(cursor)), end);
+  response->next_page_token =
+      PageToken(RegisterCursor(std::move(cursor)), page_size);
   return response;
 }
 

@@ -67,13 +67,13 @@
 /// WAL is compacted into checksummed snapshots as it grows, and
 /// `OpenStore` recovers a database from disk after a restart — newest
 /// valid snapshot plus WAL tail replay, resuming the epoch chain where
-/// it left off. Direct `Session` construction remains supported for
-/// embedding the serving loop without the façade; this is the seam
-/// future scenarios (sharding, remote transport, multi-tenant quotas)
-/// attach to — and the one `net::Server` already uses: every request
-/// struct here has a wire codec (net/codec.h) and the whole API
-/// travels over TCP per docs/PROTOCOL.md. docs/ARCHITECTURE.md traces
-/// a request through every layer.
+/// it left off. The Service is the one serving surface — a `Session`
+/// serves compiled plans only, and queries resolve here. This is the
+/// seam future scenarios (sharding, remote transport, multi-tenant
+/// quotas) attach to — and the one `net::Server` already uses: every
+/// request struct here has a wire codec (net/codec.h) and the whole
+/// API travels over TCP per docs/PROTOCOL.md. docs/ARCHITECTURE.md
+/// traces a request through every layer.
 
 namespace cqa {
 
@@ -137,8 +137,9 @@ class Service {
     /// The service-local plan cache (shared by every database and by
     /// Prepare).
     PlanCache::Options plan_cache;
-    /// Per-database session tuning. `num_threads` and `plan_cache` in
-    /// here are overridden by the service's own.
+    /// Per-database session tuning. `num_threads`, `initial_epoch`,
+    /// `backend` and the commit hooks in here are overridden by the
+    /// service's own.
     Session::Options session;
     /// Registry capacity.
     size_t max_databases = 64;
@@ -150,10 +151,11 @@ class Service {
     size_t max_page_size = 4096;
     size_t max_open_cursors = 64;
     /// Default execution backend for every database this service
-    /// creates (backend/backend.h). kInMemory (the default) serves
-    /// exactly as before; kSqlite mirrors each tenant into an embedded
-    /// SQLite database and pushes FO-rewritable plans down as SQL. A
-    /// per-database override is available on CreateDatabase.
+    /// creates (backend/backend.h). kInMemory (the default) runs no
+    /// backend: the session serves everything. kSqlite mirrors each
+    /// tenant into an embedded SQLite database and pushes FO-rewritable
+    /// plans down as SQL. A per-database override is available on
+    /// CreateDatabase.
     BackendOptions backend;
     /// Durable storage. With `dir` empty (the default) databases live
     /// in memory only and the rest of this struct is ignored.
@@ -317,10 +319,12 @@ class Service {
     uint64_t epoch = 0;
   };
   /// Serves one page of the certain answers of (query, free_vars) —
-  /// the rows true in EVERY repair. A first-page request computes (or
-  /// serves from the session's answer cache) the full row set, pins it
-  /// as an immutable snapshot in the cursor table, and returns the
-  /// first page plus a token; continuations walk that same snapshot.
+  /// the rows true in EVERY repair. A first-page request opens the
+  /// stream's answer cursor — the backend's pinned read snapshot when a
+  /// pushdown backend pages the plan natively, else the full row set
+  /// the session computes (or serves from its answer cache) — pins it
+  /// in the cursor table, and returns the first page plus a token;
+  /// continuations walk that same cursor.
   /// Unavailable on an evicted cursor (restart the stream).
   Result<CertainAnswersResponse> CertainAnswers(
       const CertainAnswersRequest& request);
@@ -403,7 +407,8 @@ class Service {
     StoreStats store;
     size_t databases = 0;
     /// Execution-backend counters, summed over the selected
-    /// database(s) (see Backend::Stats). `sqlite_databases` counts
+    /// database(s) that have a pushdown backend (see Backend::Stats);
+    /// all zero when every one is in-memory. `sqlite_databases` counts
     /// tenants served by the SQLite pushdown backend;
     /// `degraded_backends` counts backends that hit an execution
     /// failure and fell back to declining every pushdown.
@@ -433,15 +438,11 @@ class Service {
  private:
   struct Cursor {
     std::string database;
-    /// Exactly one of {snapshot, backend_cursor} is set. A snapshot is
-    /// the in-memory materialized row set; a backend cursor pages
-    /// straight out of the execution backend (e.g. a pinned SQLite
-    /// read transaction) without ever materializing the full set.
-    std::shared_ptr<const Session::RowSet> snapshot;
-    std::shared_ptr<Backend::AnswerCursor> backend_cursor;
-    /// Row count of the stream; mirrors snapshot->size() for the
-    /// in-memory flavor.
-    size_t total_rows = 0;
+    /// The stream's pinned rows: the session's materialized row-set
+    /// snapshot, or a backend cursor that pages straight out of its
+    /// execution backend (e.g. a pinned SQLite read transaction)
+    /// without ever materializing the full set.
+    std::shared_ptr<AnswerCursor> answers;
     uint64_t epoch = 0;
     size_t page_size = 0;
     uint64_t last_use = 0;  // LRU clock tick
@@ -454,8 +455,8 @@ class Service {
   struct Entry {
     std::shared_ptr<Session> session;
     std::shared_ptr<store::DbStore> store;
-    /// The database's execution backend; never null (the in-memory
-    /// backend is the identity). Shared with the session's options.
+    /// The database's pushdown backend, shared with the session's
+    /// options; null for an in-memory database.
     std::shared_ptr<Backend> backend;
   };
 
@@ -468,8 +469,8 @@ class Service {
   /// `<durability root>/<escaped name>`.
   std::string StorePath(const std::string& name) const;
   store::DbStore::Options StoreOptions() const;
-  /// Builds the execution backend for database `name`. The SQLite
-  /// flavor resolves its file path here: an explicit
+  /// Builds the pushdown backend for database `name`: null for
+  /// `kInMemory`. SQLite resolves its file path here: an explicit
   /// `BackendOptions::sqlite_dir` wins; a durable database on the
   /// default filesystem keeps its mirror inside its own store
   /// directory; anything else (memory-only service, injected test Env)
@@ -493,12 +494,6 @@ class Service {
       const std::vector<SymbolId>** fv_out);
   Result<CertainAnswersResponse> ContinueStream(
       const CertainAnswersRequest& request);
-  /// Copies rows [offset, end) of the snapshot into a response. Called
-  /// OUTSIDE cursors_mu_ — the snapshot is immutable, so the lock only
-  /// guards the cursor table itself.
-  static CertainAnswersResponse MakePage(
-      const std::shared_ptr<const Session::RowSet>& snapshot,
-      uint64_t epoch, size_t offset, size_t end);
   /// Inserts the cursor under a fresh id, evicting least-recently-used
   /// entries past `max_open_cursors`. Returns the new cursor's id.
   uint64_t RegisterCursor(Cursor cursor);

@@ -173,10 +173,7 @@ Status ApplyDeltaToDatabase(const Delta& delta, Database* db) {
 Session::Session(Database db) : Session(std::move(db), Options()) {}
 
 Session::Session(Database db, const Options& options)
-    : options_(options),
-      db_(std::move(db)),
-      plan_cache_(options.plan_cache != nullptr ? options.plan_cache
-                                                : &PlanCache::Global()) {
+    : options_(options), db_(std::move(db)) {
   epoch_.store(options_.initial_epoch, std::memory_order_release);
   for (const Fact& f : db_.facts()) BumpAdomCounts(f, +1);
   int n = options_.num_threads > 0 ? options_.num_threads
@@ -491,32 +488,6 @@ Result<std::vector<char>> Session::DecideRows(
 }
 
 std::vector<Result<SolveOutcome>> Session::SolveBatch(
-    const std::vector<Query>& queries) {
-  std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
-  std::vector<Result<SolveOutcome>> results(
-      queries.size(),
-      Result<SolveOutcome>(Status::Internal("batch item not served")));
-  RunOnPool(queries.size(), [&](EvalContext& ctx, size_t i) {
-    Result<std::shared_ptr<const QueryPlan>> plan =
-        plan_cache_->GetOrCompile(queries[i]);
-    if (!plan.ok()) {
-      results[i] = plan.status();
-      return;
-    }
-    results[i] = SolvePlanRouted(ctx, **plan);
-  });
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    stats_.solves += queries.size();
-  }
-  return results;
-}
-
-Result<SolveOutcome> Session::Solve(const Query& q) {
-  return SolveBatch({q})[0];
-}
-
-std::vector<Result<SolveOutcome>> Session::SolveBatch(
     const std::vector<std::shared_ptr<const QueryPlan>>& plans,
     uint64_t* epoch_out, const Deadline& deadline) {
   std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
@@ -547,37 +518,6 @@ Result<SolveOutcome> Session::Solve(
   return SolveBatch(std::vector<std::shared_ptr<const QueryPlan>>{plan})[0];
 }
 
-std::vector<Result<std::shared_ptr<const Session::RowSet>>>
-Session::CertainAnswersBatch(
-    const std::vector<CertainAnswersRequest>& requests) {
-  using Snapshot = std::shared_ptr<const RowSet>;
-  std::shared_lock<WriterPriorityGate> lock(epoch_mu_);
-  std::vector<Result<Snapshot>> results(
-      requests.size(),
-      Result<Snapshot>(Status::Internal("batch item not served")));
-  RunOnPool(requests.size(), [&](EvalContext& ctx, size_t i) {
-    // Plan compilation validates the request (including free variables
-    // that do not occur in the query) and negatively caches the Status,
-    // so repeated malformed traffic never recompiles.
-    const CertainAnswersRequest& req = requests[i];
-    Result<std::shared_ptr<const QueryPlan>> plan =
-        req.free_vars.empty()
-            ? plan_cache_->GetOrCompile(req.query)
-            : plan_cache_->GetOrCompile(req.query, req.free_vars);
-    if (!plan.ok()) {
-      results[i] = plan.status();
-      return;
-    }
-    results[i] = ServeCertain(ctx, *plan, req.query, req.free_vars);
-  });
-  return results;
-}
-
-Result<std::shared_ptr<const Session::RowSet>> Session::CertainAnswers(
-    const Query& q, const std::vector<SymbolId>& free_vars) {
-  return CertainAnswersBatch({{q, free_vars}})[0];
-}
-
 Result<std::shared_ptr<const Session::RowSet>> Session::CertainAnswers(
     const std::shared_ptr<const QueryPlan>& plan, const Query& q,
     const std::vector<SymbolId>& free_vars, uint64_t* epoch_out,
@@ -595,10 +535,10 @@ Result<std::shared_ptr<const Session::RowSet>> Session::CertainAnswers(
   return result;
 }
 
-Result<std::shared_ptr<Backend::AnswerCursor>> Session::OpenAnswerCursor(
+Result<std::shared_ptr<AnswerCursor>> Session::OpenAnswerCursor(
     const std::shared_ptr<const QueryPlan>& plan, uint64_t* epoch_out) {
   if (options_.backend == nullptr) {
-    return std::shared_ptr<Backend::AnswerCursor>();
+    return std::shared_ptr<AnswerCursor>();
   }
   // The shared gate pins the epoch across the open: no delta can commit
   // between reading epoch_ and the backend pinning its read snapshot,
@@ -611,7 +551,7 @@ Result<std::shared_ptr<Backend::AnswerCursor>> Session::OpenAnswerCursor(
     *epoch_out = epoch_.load(std::memory_order_relaxed);
   }
   if (!options_.backend->SupportsNatively(*plan)) {
-    return std::shared_ptr<Backend::AnswerCursor>();
+    return std::shared_ptr<AnswerCursor>();
   }
   return options_.backend->OpenAnswerCursor(*plan);
 }

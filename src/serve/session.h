@@ -15,7 +15,6 @@
 
 #include "backend/backend.h"
 #include "db/database.h"
-#include "plan/plan_cache.h"
 #include "plan/query_plan.h"
 #include "solvers/solver.h"
 #include "util/deadline.h"
@@ -24,11 +23,12 @@
 #include "util/thread_pool.h"
 
 /// \file
-/// The engine room of the serving tier. New code should reach it
-/// through the one front door — `cqa::Service` (serve/service.h), which
-/// owns a registry of named Sessions and speaks versioned request
-/// structs; direct Session construction remains supported for embedding
-/// the serving loop without the façade.
+/// The engine room of the serving tier. Callers reach it through the
+/// one front door — `cqa::Service` (serve/service.h), which owns a
+/// registry of named Sessions, resolves every query to a compiled plan
+/// (its plan cache, its prepared handles) and speaks versioned request
+/// structs. A Session serves plans only: it never canonicalizes or
+/// compiles a query itself.
 ///
 /// A `Session` owns ONE uncertain database
 /// and serves CERTAINTY decisions and certain-answer queries against it
@@ -67,9 +67,9 @@
 ///     row sets earlier callers still hold.
 ///
 /// Serving is parallel at TWO grains: whole requests fan out across the
-/// pool (SolveBatch, CertainAnswersBatch), and inside ONE request a
-/// large candidate row batch is itself partitioned into contiguous
-/// chunks decided by several workers at once (data parallelism; see
+/// pool (SolveBatch), and inside ONE request a large candidate row
+/// batch is itself partitioned into contiguous chunks decided by
+/// several workers at once (data parallelism; see
 /// `Options::parallel_row_threshold`). The row split is exact: rows are
 /// per-row-independent FO work, each chunk writes a disjoint span of the
 /// output, and chunk boundaries don't alter any verdict — so the
@@ -117,13 +117,6 @@ class Delta {
   std::vector<Op> ops_;
 };
 
-/// One certain-answer request: the certain answers of `query` projected
-/// onto `free_vars` (empty = Boolean certainty).
-struct CertainAnswersRequest {
-  Query query;
-  std::vector<SymbolId> free_vars;
-};
-
 /// Validates and applies `delta` to a bare database — no indexes, no
 /// epochs, no pool. This is the replay primitive: recovery re-applies a
 /// WAL tail with exactly the semantics `Session::ApplyDelta` committed
@@ -141,8 +134,6 @@ class Session {
   struct Options {
     /// Worker threads; 0 = DefaultServingThreads().
     int num_threads = 0;
-    /// Plan cache to resolve queries through; null = PlanCache::Global().
-    PlanCache* plan_cache = nullptr;
     /// Certain-answer cache entries kept (per canonical query).
     size_t answer_cache_capacity = 256;
     /// Deltas remembered for incremental invalidation; an answer-cache
@@ -162,13 +153,12 @@ class Session {
     /// resumes the epoch chain its WAL left off at instead of
     /// restarting from 0.
     uint64_t initial_epoch = 0;
-    /// Execution backend (backend/backend.h). Null (the default) and
-    /// the in-memory backend behave identically: every decision runs on
-    /// the session's own FoProgram/solver path. A SQLite backend mirrors
-    /// deltas into its embedded database and serves FO-rewritable plans
-    /// as pushed-down SQL; plans it cannot push down pass its
-    /// AdmitFallback policy gate before the in-memory engine serves
-    /// them.
+    /// Pushdown backend (backend/backend.h). Null (the default): every
+    /// decision runs on the session's own FoProgram/solver path. A
+    /// SQLite backend mirrors deltas into its embedded database and
+    /// serves FO-rewritable plans as pushed-down SQL; plans it cannot
+    /// push down pass its AdmitFallback policy gate before the
+    /// in-memory engine serves them.
     std::shared_ptr<Backend> backend;
     /// Called under the exclusive epoch gate after a delta validates
     /// and BEFORE anything mutates, with the epoch the delta will
@@ -218,21 +208,15 @@ class Session {
   bool defunct() const { return defunct_.load(std::memory_order_acquire); }
 
   // --------------------------------------------------------- serving
-  /// Decides CERTAINTY(q) against the current epoch, resolving the
-  /// query through the plan cache. Thread-safe; holds the epoch gate
-  /// shared for the whole decision.
-  Result<SolveOutcome> Solve(const Query& q);
-  /// Batched decisions fanned out across the worker pool; results
-  /// align positionally and each carries its own status.
-  std::vector<Result<SolveOutcome>> SolveBatch(
-      const std::vector<Query>& queries);
-
   /// Plan-resolved serving: the entry points `cqa::Service` routes
-  /// through once it has pinned a compiled plan to a prepared-query
-  /// handle — no canonicalization or cache lookup on the hot path.
-  /// `epoch_out`, when non-null, receives the exact epoch the batch
-  /// was served at (read under the epoch gate).
+  /// through once it has resolved a compiled plan — no canonicalization
+  /// or cache lookup on the hot path. Thread-safe; each call holds the
+  /// epoch gate shared for its whole batch.
   Result<SolveOutcome> Solve(const std::shared_ptr<const QueryPlan>& plan);
+  /// Batched decisions fanned out across the worker pool; results align
+  /// positionally and each carries its own status. `epoch_out`, when
+  /// non-null, receives the exact epoch the batch was served at (read
+  /// under the epoch gate).
   /// `deadline` applies to the whole batch: items not yet dispatched
   /// when it fires answer kDeadlineExceeded individually (items already
   /// running finish — Boolean solves are not chunk-checkpointed).
@@ -243,17 +227,11 @@ class Session {
   /// Certain answers of (q, free_vars), served from the per-session
   /// cache when the epoch allows it (fully, or re-deciding only the
   /// dirty rows). The returned snapshot is shared with the cache
-  /// (copy-on-write): no per-serve row copy.
-  Result<std::shared_ptr<const RowSet>> CertainAnswers(
-      const Query& q, const std::vector<SymbolId>& free_vars);
-  std::vector<Result<std::shared_ptr<const RowSet>>> CertainAnswersBatch(
-      const std::vector<CertainAnswersRequest>& requests);
-
-  /// Plan-resolved certain answers. `plan` must be the compiled plan of
-  /// (q, free_vars) — the Service guarantees that by construction of its
-  /// prepared handles. `epoch_out`, when non-null, receives the exact
-  /// epoch the snapshot was served at (read under the epoch gate, so it
-  /// cannot race a concurrent delta).
+  /// (copy-on-write): no per-serve row copy. `plan` must be the
+  /// compiled plan of (q, free_vars) — the Service guarantees that by
+  /// construction of its prepared handles. `epoch_out`, when non-null,
+  /// receives the exact epoch the snapshot was served at (read under
+  /// the epoch gate, so it cannot race a concurrent delta).
   /// `deadline` is polled cooperatively through the whole decision
   /// pipeline (candidate chunk dispatch and the FO program's batch
   /// loops); expiry abandons the serve with kDeadlineExceeded and
@@ -267,8 +245,8 @@ class Session {
   /// a parameterized plan, under the shared epoch gate (so the pinned
   /// snapshot is exactly `*epoch_out`). A null cursor (no backend, plan
   /// not natively servable, or no snapshot support) is not an error —
-  /// the caller serves through the materialized-snapshot path instead.
-  Result<std::shared_ptr<Backend::AnswerCursor>> OpenAnswerCursor(
+  /// the caller pages over CertainAnswers' snapshot instead.
+  Result<std::shared_ptr<AnswerCursor>> OpenAnswerCursor(
       const std::shared_ptr<const QueryPlan>& plan,
       uint64_t* epoch_out = nullptr);
 
@@ -391,7 +369,6 @@ class Session {
 
   Options options_;
   Database db_;
-  PlanCache* plan_cache_;
 
   /// Serving holds it shared for a whole call; ApplyDelta exclusively.
   /// Writer-priority (pending-writer counter + condvar): the moment a

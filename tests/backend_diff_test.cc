@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "backend/backend.h"
@@ -15,8 +16,8 @@
 
 /// \file
 /// Backend equivalence: a service whose databases run on the SQLite
-/// pushdown backend must be observably IDENTICAL to one on the
-/// in-memory backend — same Boolean verdicts, same certain-answer rows
+/// pushdown backend must be observably IDENTICAL to one serving in
+/// memory — same Boolean verdicts, same certain-answer rows
 /// in the same order, same pagination, same post-delta state — across
 /// the whole named-query corpus. Pushdown is an execution strategy,
 /// never a semantics change.
@@ -169,7 +170,7 @@ TEST(BackendDiffTest, FileBackedCursorsServeAPinnedSnapshot) {
   }
   Service::Options options = SqliteOptions();
   options.backend.sqlite_dir =
-      ::testing::TempDir() + "/cqa_backend_cursor_test";
+      ::testing::TempDir() + "/cqa_sqlite_cursor_test";
   Service sq(options);
   Service mem(MemOptions());
 
@@ -319,17 +320,87 @@ TEST(BackendDiffTest, SqliteRequestWithoutBuildSupportIsUnsupported) {
             StatusCode::kUnsupported);
 }
 
-TEST(BackendDiffTest, InMemoryBackendIsTheIdentity) {
-  // Default options: every database gets the in-memory backend, and
-  // serving is exactly the legacy path (covered by the whole rest of
-  // the test suite); here we just pin the stats contract.
+TEST(BackendDiffTest, InMemoryTenantsRunNoBackend) {
+  // Default options: a database gets no backend at all — the session
+  // serves everything itself (the rest of the suite covers that path) —
+  // so every backend counter stays zero, even after traffic.
   Service service(MemOptions());
-  ASSERT_TRUE(service.CreateDatabase("t", Database()).ok());
+  ASSERT_TRUE(service.CreateDatabase("t", corpus::ConferenceDatabase()).ok());
+  Service::SolveRequest solve;
+  solve.database = "t";
+  solve.query = corpus::ConferenceQuery();
+  ASSERT_TRUE(service.Solve(solve).ok());
+  Service::DeltaRequest delta;
+  delta.database = "t";
+  delta.delta = FreshBlockDelta(corpus::ConferenceQuery(), 1);
+  ASSERT_TRUE(service.ApplyDelta(delta).ok());
+
   Service::StatsResponse stats = service.Stats({}).value();
   EXPECT_EQ(stats.sqlite_databases, 0u);
   EXPECT_EQ(stats.degraded_backends, 0u);
-  EXPECT_EQ(stats.backend.pushed_solves, 0u);
-  EXPECT_EQ(stats.backend.loads, 1u);
+  const Backend::Stats& backend = stats.backend;
+  EXPECT_EQ(backend.pushed_solves, 0u);
+  EXPECT_EQ(backend.pushed_answer_sets, 0u);
+  EXPECT_EQ(backend.pushed_row_spans, 0u);
+  EXPECT_EQ(backend.pushed_rows, 0u);
+  EXPECT_EQ(backend.cursors_opened, 0u);
+  EXPECT_EQ(backend.fallback_admitted, 0u);
+  EXPECT_EQ(backend.fallback_refused, 0u);
+  EXPECT_EQ(backend.loads, 0u);
+  EXPECT_EQ(backend.mutations_mirrored, 0u);
+  EXPECT_EQ(backend.transactions_committed, 0u);
+  EXPECT_EQ(backend.statements_prepared, 0u);
+  EXPECT_EQ(backend.statement_cache_hits, 0u);
+  EXPECT_FALSE(backend.degraded);
+}
+
+TEST(BackendDiffTest, MultiPageStreamsDrainOpenCursors) {
+  // Every build streams from an in-memory tenant; SQLite builds also
+  // stream from a file-backed tenant, whose pages come off a backend
+  // cursor. Either way the cursor lives exactly as long as its stream.
+  std::vector<std::pair<std::string, Service::Options>> configs = {
+      {"in-memory", MemOptions()}};
+  if (SqliteBackendAvailable()) {
+    Service::Options sq = SqliteOptions();
+    sq.backend.sqlite_dir = ::testing::TempDir() + "/cqa_backend_drain_test";
+    configs.emplace_back("sqlite", sq);
+  }
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  Database db;
+  for (int i = 0; i < 9; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(Fact::Make("R", {a, b}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(Fact::Make("S", {b, "c"}, 1)).ok());
+  }
+  for (const auto& [name, options] : configs) {
+    Service service(options);
+    ASSERT_TRUE(service.CreateDatabase("t", db).ok()) << name;
+    Service::CertainAnswersRequest req;
+    req.database = "t";
+    req.query = q;
+    req.free_vars = {InternSymbol("x")};
+    req.page_size = 2;
+    Result<Service::CertainAnswersResponse> page = service.CertainAnswers(req);
+    ASSERT_TRUE(page.ok()) << name << ": " << page.status();
+    ASSERT_EQ(page->total_rows, 9u) << name;
+    size_t rows = page->rows.size();
+    while (!page->next_page_token.empty()) {
+      EXPECT_EQ(service.Stats({}).value().open_cursors, 1u) << name;
+      Service::CertainAnswersRequest next;
+      next.database = "t";
+      next.page_token = page->next_page_token;
+      page = service.CertainAnswers(next);
+      ASSERT_TRUE(page.ok()) << name << ": " << page.status();
+      rows += page->rows.size();
+    }
+    EXPECT_EQ(rows, 9u) << name;
+    Service::StatsResponse stats = service.Stats({}).value();
+    EXPECT_EQ(stats.open_cursors, 0u) << name;
+    EXPECT_EQ(stats.backend.cursors_opened, name == "sqlite" ? 1u : 0u)
+        << name;
+    ASSERT_TRUE(service.DropDatabase("t").ok()) << name;
+  }
 }
 
 }  // namespace

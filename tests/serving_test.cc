@@ -9,7 +9,7 @@
 #include "gen/db_gen.h"
 #include "plan/plan_cache.h"
 #include "plan/query_plan.h"
-#include "serve/session.h"
+#include "serve/service.h"
 #include "solve_helpers.h"
 
 namespace cqa {
@@ -56,64 +56,80 @@ Database ServingDatabase(uint64_t seed) {
   return db;
 }
 
+/// One ad-hoc Solve request per query against database "db".
+std::vector<Service::SolveRequest> SolveRequests(
+    const std::vector<Query>& queries) {
+  std::vector<Service::SolveRequest> requests(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    requests[i].database = "db";
+    requests[i].query = queries[i];
+  }
+  return requests;
+}
+
 TEST(ServingTest, SolveBatchMatchesSequentialSolve) {
   Database db = ServingDatabase(7);
   std::vector<Query> queries = ServingWorkload(12);
 
-  PlanCache cache;
-  Session::Options options;
+  Service::Options options;
   options.num_threads = 8;
-  options.plan_cache = &cache;
-  Session session(db, options);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("db", db).ok());
+  std::vector<Result<Service::SolveResponse>> batch =
+      service.SolveBatch(SolveRequests(queries));
   ASSERT_EQ(batch.size(), queries.size());
 
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status();
     Result<SolveOutcome> sequential = testutil::Solve(db, queries[i]);
     ASSERT_TRUE(sequential.ok());
-    EXPECT_EQ(batch[i]->certain, sequential->certain) << i;
-    EXPECT_EQ(batch[i]->solver, sequential->solver) << i;
-    EXPECT_EQ(batch[i]->complexity, sequential->complexity) << i;
+    EXPECT_EQ(batch[i]->outcome.certain, sequential->certain) << i;
+    EXPECT_EQ(batch[i]->outcome.solver, sequential->solver) << i;
+    EXPECT_EQ(batch[i]->outcome.complexity, sequential->complexity) << i;
   }
 
-  // 6 α-classes (two workload entries share one plan). Concurrent
-  // workers may race a first compile, so misses can exceed the class
-  // count, but the cache must deduplicate entries and the workload must
-  // be overwhelmingly hits.
-  PlanCache::Stats stats = cache.Snapshot();
+  // 6 α-classes (two workload entries share one plan). The service
+  // resolves every plan before fanning the batch out, so each class
+  // misses exactly once and the rest of the workload hits.
+  PlanCache::Stats stats = service.Stats({}).value().plan_cache;
   EXPECT_EQ(stats.entries, 6u);
-  EXPECT_GE(stats.misses, 6u);
-  EXPECT_LE(stats.misses, 6u * (1u + 8u));
+  EXPECT_EQ(stats.misses, 6u);
   EXPECT_EQ(stats.hits + stats.misses, queries.size());
 }
 
 TEST(ServingTest, EmptyBatchAndSingleThread) {
   Database db = ServingDatabase(9);
-  Session::Options options;
+  Service::Options options;
   options.num_threads = 1;
-  Session session(db, options);
-  EXPECT_TRUE(session.SolveBatch(std::vector<Query>{}).empty());
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("db", db).ok());
+  EXPECT_TRUE(service.SolveBatch({}).empty());
   std::vector<Query> queries = ServingWorkload(2);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+  std::vector<Result<Service::SolveResponse>> batch =
+      service.SolveBatch(SolveRequests(queries));
   for (size_t i = 0; i < queries.size(); ++i) {
     ASSERT_TRUE(batch[i].ok());
-    EXPECT_EQ(batch[i]->certain, testutil::Solve(db, queries[i])->certain);
+    EXPECT_EQ(batch[i]->outcome.certain,
+              testutil::Solve(db, queries[i])->certain);
   }
 }
 
-TEST(ServingTest, RepeatedQueriesResolveThroughTheGlobalCache) {
+TEST(ServingTest, RepeatedQueriesShareOnePlan) {
   Database db = ServingDatabase(3);
   std::vector<Query> queries = {corpus::ConferenceQuery(),
                                 corpus::PathQuery2(),
                                 corpus::ConferenceQuery()};
-  Session session(db);
-  std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+  Service service;
+  ASSERT_TRUE(service.CreateDatabase("db", db).ok());
+  std::vector<Result<Service::SolveResponse>> batch =
+      service.SolveBatch(SolveRequests(queries));
   ASSERT_EQ(batch.size(), 3u);
   for (const auto& r : batch) EXPECT_TRUE(r.ok());
-  EXPECT_EQ(batch[0]->certain, batch[2]->certain);
-  // The default batch path shares the global cache with testutil::Solve.
-  EXPECT_NE(PlanCache::Global().Lookup(corpus::ConferenceQuery()), nullptr);
+  EXPECT_EQ(batch[0]->outcome.certain, batch[2]->outcome.certain);
+  // The repeat resolves through the service's own plan cache.
+  PlanCache::Stats stats = service.Stats({}).value().plan_cache;
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.hits, 1u);
 }
 
 /// One compiled plan shared by >= 8 threads, each with its own
@@ -203,45 +219,43 @@ TEST(ServingTest, OneCacheManyThreads) {
                             kThreads * 6);
 }
 
-TEST(ServingTest, CertainAnswersBatchMatchesOneShot) {
+TEST(ServingTest, CertainAnswersMatchOneShot) {
   Database db = corpus::ConferenceDatabase();
   ASSERT_TRUE(db.AddFact(Fact::Make("C", {"ICDT", "2018", "Lyon"}, 2)).ok());
   ASSERT_TRUE(db.AddFact(Fact::Make("R", {"ICDT", "A"}, 1)).ok());
-  std::vector<CertainAnswersRequest> requests;
-  requests.push_back({MustParseQuery("C(x, y | c), R(x | 'A')"),
-                      {InternSymbol("c")}});
-  requests.push_back({MustParseQuery("C(x, y | c)"),
-                      {InternSymbol("x"), InternSymbol("c")}});
-  requests.push_back({MustParseQuery("C(x, y | c), R(x | r)"),
-                      {InternSymbol("c"), InternSymbol("r")}});
+  std::vector<Service::CertainAnswersRequest> requests(3);
+  requests[0].query = MustParseQuery("C(x, y | c), R(x | 'A')");
+  requests[0].free_vars = {InternSymbol("c")};
+  requests[1].query = MustParseQuery("C(x, y | c)");
+  requests[1].free_vars = {InternSymbol("x"), InternSymbol("c")};
+  requests[2].query = MustParseQuery("C(x, y | c), R(x | r)");
+  requests[2].free_vars = {InternSymbol("c"), InternSymbol("r")};
   // Repeat to exercise plan sharing.
   requests.push_back(requests[0]);
   requests.push_back(requests[1]);
 
-  PlanCache cache;
-  Session::Options options;
+  Service::Options options;
   options.num_threads = 4;
-  options.plan_cache = &cache;
-  Session session(db, options);
-  auto batch = session.CertainAnswersBatch(requests);
-  ASSERT_EQ(batch.size(), requests.size());
+  Service service(options);
+  ASSERT_TRUE(service.CreateDatabase("db", db).ok());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status();
-    auto one_shot =
-        testutil::CertainAnswers(db, requests[i].query, requests[i].free_vars);
+    requests[i].database = "db";
+    Result<Service::CertainAnswersResponse> served =
+        service.CertainAnswers(requests[i]);
+    ASSERT_TRUE(served.ok()) << i << ": " << served.status();
+    EXPECT_TRUE(served->next_page_token.empty()) << i;
+    auto one_shot = testutil::CertainAnswers(db, *requests[i].query,
+                                             requests[i].free_vars);
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(**batch[i], *one_shot) << i;
+    EXPECT_EQ(served->rows, *one_shot) << i;
   }
 
-  // An invalid request fails alone.
-  requests.push_back({MustParseQuery("C(x, y | c)"),
-                      {InternSymbol("nosuchvar")}});
-  auto with_bad = session.CertainAnswersBatch(requests);
-  EXPECT_FALSE(with_bad.back().ok());
-  EXPECT_EQ(with_bad.back().status().code(), StatusCode::kInvalidArgument);
-  for (size_t i = 0; i + 1 < with_bad.size(); ++i) {
-    EXPECT_TRUE(with_bad[i].ok());
-  }
+  // An invalid request fails alone; the service keeps serving.
+  Service::CertainAnswersRequest bad = requests[1];
+  bad.free_vars = {InternSymbol("nosuchvar")};
+  EXPECT_EQ(service.CertainAnswers(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(service.CertainAnswers(requests[0]).ok());
 }
 
 }  // namespace

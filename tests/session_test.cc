@@ -33,6 +33,13 @@ Result<Rows> Materialize(Result<std::shared_ptr<const Session::RowSet>> r) {
   return Rows(**r);
 }
 
+/// Certain answers of (q, fv) through the session's plan-resolved
+/// entry point, materialized.
+Result<Rows> Serve(Session& session, const Query& q,
+                   const std::vector<SymbolId>& fv) {
+  return Materialize(testutil::SessionCertainAnswers(session, q, fv));
+}
+
 Fact F(const std::string& relation, const std::vector<std::string>& values,
        int key_arity) {
   return Fact::Make(relation, values, key_arity);
@@ -181,15 +188,17 @@ TEST(SessionTest, SolveAndBatchMatchEngineAcrossDeltas) {
   Database db = corpus::ConferenceDatabase();
   Session::Options options;
   options.num_threads = 4;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   std::vector<Query> queries = {corpus::ConferenceQuery(),
                                 corpus::PathQuery2(),
                                 corpus::ConferenceQuery()};
+  std::vector<std::shared_ptr<const QueryPlan>> plans;
+  for (const Query& q : queries) {
+    plans.push_back(testutil::CompilePlan(q).value());
+  }
 
   for (int round = 0; round < 3; ++round) {
-    std::vector<Result<SolveOutcome>> batch = session.SolveBatch(queries);
+    std::vector<Result<SolveOutcome>> batch = session.SolveBatch(plans);
     ASSERT_EQ(batch.size(), queries.size());
     for (size_t i = 0; i < queries.size(); ++i) {
       ASSERT_TRUE(batch[i].ok()) << batch[i].status();
@@ -221,19 +230,17 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
   ASSERT_TRUE(db.AddFact(F("Z", {"z", "z"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
 
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  Result<Rows> first = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> first = Serve(session, q, fv);
   ASSERT_TRUE(first.ok()) << first.status();
   EXPECT_EQ(first->size(), 8u);
   EXPECT_EQ(session.stats().answers_full, 1u);
 
   // Same epoch: verbatim cache hit.
-  Result<Rows> again = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> again = Serve(session, q, fv);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(*again, *first);
   EXPECT_EQ(session.stats().answers_cached, 1u);
@@ -243,7 +250,7 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
   Delta unrelated;
   unrelated.Insert(F("Z", {"y", "y"}, 1));
   ASSERT_TRUE(session.ApplyDelta(unrelated).ok());
-  Result<Rows> after = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> after = Serve(session, q, fv);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, *first);
   Session::Stats stats = session.stats();
@@ -256,7 +263,7 @@ TEST(SessionTest, CertainAnswersServedFromCacheAcrossUnrelatedDeltas) {
                      {InternSymbol("a3")},
                      {F("R", {"a3", "nowhere"}, 1)});
   ASSERT_TRUE(session.ApplyDelta(touch).ok());
-  Result<Rows> pruned = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> pruned = Serve(session, q, fv);
   ASSERT_TRUE(pruned.ok());
   EXPECT_EQ(pruned->size(), 7u);  // a3 now dangles into no S fact
   stats = session.stats();
@@ -275,12 +282,10 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   ASSERT_TRUE(db.AddFact(F("Z", {"z"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   Query q = corpus::ConferenceQuery();
 
-  Result<Rows> base = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> base = Serve(session, q, {});
   ASSERT_TRUE(base.ok());
   Result<Rows> expected = testutil::CertainAnswers(session.db(), q, {});
   ASSERT_TRUE(expected.ok());
@@ -289,7 +294,7 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   Delta unrelated;
   unrelated.Insert(F("Z", {"zz"}, 1));
   ASSERT_TRUE(session.ApplyDelta(unrelated).ok());
-  Result<Rows> cached = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> cached = Serve(session, q, {});
   ASSERT_TRUE(cached.ok());
   EXPECT_EQ(*cached, *base);
   EXPECT_EQ(session.stats().answers_incremental, 1u);
@@ -299,7 +304,7 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   Delta flip;
   flip.Remove(F("R", {"PODS", "A"}, 1));
   ASSERT_TRUE(session.ApplyDelta(flip).ok());
-  Result<Rows> after = Materialize(session.CertainAnswers(q, {}));
+  Result<Rows> after = Serve(session, q, {});
   ASSERT_TRUE(after.ok());
   Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, {});
   ASSERT_TRUE(fresh.ok());
@@ -403,8 +408,6 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
 
     Session::Options sopt;
     sopt.num_threads = 2;
-    PlanCache cache;
-    sopt.plan_cache = &cache;
     Session session(std::move(db), sopt);
 
     for (int d = 0; d < kDeltasPerSeed; ++d) {
@@ -412,7 +415,7 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
       Result<uint64_t> applied = session.ApplyDelta(delta);
       ASSERT_TRUE(applied.ok()) << applied.status();
 
-      Result<Rows> served = Materialize(session.CertainAnswers(q, fv));
+      Result<Rows> served = Serve(session, q, fv);
       ASSERT_TRUE(served.ok())
           << seed << "/" << d << ": " << served.status();
       Result<Rows> fresh = testutil::CertainAnswers(session.db(), q, fv);
@@ -444,12 +447,10 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
 
   Session::Options options;
   options.num_threads = 4;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
 
   // State A: R(a0 | b0) (row a0 certain). State B: R(a0 | nowhere).
-  Result<Rows> rows_a = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> rows_a = Serve(session, q, fv);
   ASSERT_TRUE(rows_a.ok());
   ASSERT_EQ(rows_a->size(), 6u);
   Rows rows_b = *rows_a;
@@ -465,7 +466,7 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
       // Bounded (and yielding) so tight reader loops can never starve
       // the writer's exclusive lock on a single-core host.
       for (int it = 0; it < 200 && !stop.load(); ++it) {
-        Result<Rows> got = Materialize(session.CertainAnswers(q, fv));
+        Result<Rows> got = Serve(session, q, fv);
         if (!got.ok() || (*got != *rows_a && *got != rows_b)) {
           mismatches.fetch_add(1);
         }
@@ -489,7 +490,7 @@ TEST(SessionTest, ConcurrentReadersSeeConsistentSnapshots) {
   EXPECT_EQ(session.epoch(), 40u);
 
   // Settled state: back to A.
-  Result<Rows> settled = Materialize(session.CertainAnswers(q, fv));
+  Result<Rows> settled = Serve(session, q, fv);
   ASSERT_TRUE(settled.ok());
   EXPECT_EQ(*settled, *rows_a);
 }
@@ -503,19 +504,17 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
   ASSERT_TRUE(db.AddFact(F("S", {"b", "c"}, 1)).ok());
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
   std::vector<SymbolId> fv = {InternSymbol("x")};
 
-  auto first = session.CertainAnswers(q, fv);
+  auto first = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(first.ok());
   ASSERT_EQ((*first)->size(), 6u);
 
   // Same epoch: the cache hit returns the SAME snapshot object — no
   // per-serve row copy.
-  auto hit = session.CertainAnswers(q, fv);
+  auto hit = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(first->get(), hit->get());
 
@@ -526,7 +525,7 @@ TEST(SessionTest, AnswerSnapshotsAreSharedCopyOnWrite) {
   drop.ReplaceBlock(InternSymbol("R"), {InternSymbol("a0")},
                     {F("R", {"a0", "nowhere"}, 1)});
   ASSERT_TRUE(session.ApplyDelta(drop).ok());
-  auto after = session.CertainAnswers(q, fv);
+  auto after = testutil::SessionCertainAnswers(session, q, fv);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(first->get(), after->get());
   EXPECT_EQ((*after)->size(), 5u);
@@ -542,8 +541,6 @@ TEST(SessionTest, PersistentPoolReusesWorkerIndexesAcrossCalls) {
   }
   Session::Options options;
   options.num_threads = 1;  // deterministic single worker
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(db, options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
 
@@ -552,7 +549,7 @@ TEST(SessionTest, PersistentPoolReusesWorkerIndexesAcrossCalls) {
   // against the engine; the reuse itself is observable through the
   // stable result and the epoch bookkeeping.
   for (int i = 0; i < 5; ++i) {
-    Result<SolveOutcome> solved = session.Solve(q);
+    Result<SolveOutcome> solved = testutil::SessionSolve(session, q);
     ASSERT_TRUE(solved.ok());
     Result<SolveOutcome> expected = testutil::Solve(session.db(), q);
     ASSERT_TRUE(expected.ok());
@@ -636,8 +633,6 @@ TEST(SessionTest, ApplyDeltaProgressesUnderSaturatedReadLoad) {
   }
   Session::Options options;
   options.num_threads = 2;
-  PlanCache cache;
-  options.plan_cache = &cache;
   Session session(std::move(db), options);
   Query q = MustParseQuery("R(x | y), S(y | z)");
 
@@ -646,7 +641,7 @@ TEST(SessionTest, ApplyDeltaProgressesUnderSaturatedReadLoad) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        ASSERT_TRUE(session.Solve(q).ok());
+        ASSERT_TRUE(testutil::SessionSolve(session, q).ok());
       }
     });
   }

@@ -10,6 +10,7 @@
 #include "db/database.h"
 #include "plan/plan_cache.h"
 #include "plan/query_plan.h"
+#include "serve/session.h"
 #include "util/status.h"
 
 /// \file
@@ -18,16 +19,36 @@
 /// `cqa::Service` serves through, without a registry or a session.
 /// These replace the deleted `Engine` shim in the differential tests:
 /// each helper compiles through the global plan cache and evaluates the
-/// plan against a transient context.
+/// plan against a transient context — or, for the Session* helpers,
+/// serves it through a session's plan-resolved entry points.
 
 namespace cqa {
 namespace testutil {
 
+inline Result<std::shared_ptr<const QueryPlan>> CompilePlan(
+    const Query& q, const std::vector<SymbolId>& free_vars = {}) {
+  return free_vars.empty() ? PlanCache::Global().GetOrCompile(q)
+                           : PlanCache::Global().GetOrCompile(q, free_vars);
+}
+
 inline Result<SolveOutcome> Solve(const Database& db, const Query& q) {
-  Result<std::shared_ptr<const QueryPlan>> plan =
-      PlanCache::Global().GetOrCompile(q);
+  Result<std::shared_ptr<const QueryPlan>> plan = CompilePlan(q);
   if (!plan.ok()) return plan.status();
   return (*plan)->Solve(db);
+}
+
+inline Result<SolveOutcome> SessionSolve(Session& session, const Query& q) {
+  Result<std::shared_ptr<const QueryPlan>> plan = CompilePlan(q);
+  if (!plan.ok()) return plan.status();
+  return session.Solve(*plan);
+}
+
+inline Result<std::shared_ptr<const Session::RowSet>> SessionCertainAnswers(
+    Session& session, const Query& q,
+    const std::vector<SymbolId>& free_vars) {
+  Result<std::shared_ptr<const QueryPlan>> plan = CompilePlan(q, free_vars);
+  if (!plan.ok()) return plan.status();
+  return session.CertainAnswers(*plan, q, free_vars);
 }
 
 inline Result<std::vector<std::vector<SymbolId>>> PossibleAnswers(
@@ -42,9 +63,7 @@ inline Result<std::vector<std::vector<SymbolId>>> PossibleAnswers(
 inline Result<std::vector<std::vector<SymbolId>>> CertainAnswers(
     const Database& db, const Query& q,
     const std::vector<SymbolId>& free_vars) {
-  Result<std::shared_ptr<const QueryPlan>> plan =
-      free_vars.empty() ? PlanCache::Global().GetOrCompile(q)
-                        : PlanCache::Global().GetOrCompile(q, free_vars);
+  Result<std::shared_ptr<const QueryPlan>> plan = CompilePlan(q, free_vars);
   if (!plan.ok()) return plan.status();
 
   CQA_RETURN_NOT_OK(ValidateFreeVars(q, free_vars));
@@ -73,8 +92,7 @@ inline Result<std::vector<std::vector<SymbolId>>> CertainAnswers(
 
 inline Result<std::optional<std::vector<Fact>>> FindFalsifyingRepair(
     const Database& db, const Query& q) {
-  Result<std::shared_ptr<const QueryPlan>> plan =
-      PlanCache::Global().GetOrCompile(q);
+  Result<std::shared_ptr<const QueryPlan>> plan = CompilePlan(q);
   if (!plan.ok()) return plan.status();
   return (*plan)->FindFalsifyingRepair(db);
 }

@@ -8,13 +8,15 @@
 #include "fo/formula.h"
 #include "fo/program.h"
 #include "fo/sql_lower.h"
+#include "gen/query_gen.h"
 #include "plan/query_plan.h"
 #include "util/status.h"
 
 /// \file
-/// Units for the execution-grade SQL lowering (fo/sql_lower.h): shape
-/// of the generated statements, identifier quoting, placeholder
-/// discipline, and the Unsupported edges. Semantic equivalence against
+/// Units for the SQL lowering (fo/sql_lower.h): shape of the generated
+/// statements, identifier quoting (hostile relation names included),
+/// placeholder discipline, the Unsupported edges, and a random sweep
+/// over FO-classified queries. Semantic equivalence against
 /// a real SQLite engine is covered end-to-end by backend_diff_test.cc.
 
 namespace cqa {
@@ -31,6 +33,42 @@ std::shared_ptr<const QueryPlan> MustCompile(
 
 bool Contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
+}
+
+bool ParensBalanced(const std::string& s) {
+  int depth = 0;
+  for (char c : s) {
+    if (c == '(') ++depth;
+    if (c == ')' && --depth < 0) return false;
+  }
+  return depth == 0;
+}
+
+TEST(SqlLowerTest, QuoteSqlIdentifierEscapes) {
+  EXPECT_EQ(QuoteSqlIdentifier("plain"), "\"plain\"");
+  EXPECT_EQ(QuoteSqlIdentifier("has\"quote"), "\"has\"\"quote\"");
+  EXPECT_EQ(QuoteSqlIdentifier(""), "\"\"");
+}
+
+TEST(SqlLowerTest, QuotesHostileRelationNames) {
+  // A relation named to break out of an identifier position: quoting
+  // must neutralize both the embedded double-quote and the SQL tail.
+  const std::string hostile = "R\" FROM x; DROP TABLE users; --";
+  const std::string quoted = "\"R\"\" FROM x; DROP TABLE users; --\"";
+  EXPECT_EQ(SqlTableName(InternSymbol(hostile)), quoted);
+
+  Query q;
+  q.AddAtom(Atom(InternSymbol(hostile), {Term::Var("x"), Term::Var("y")}, 1));
+  auto plan = MustCompile(q, {InternSymbol("x")});
+  ASSERT_NE(plan->fo_program(), nullptr);
+  Result<std::string> sql =
+      CertainAnswersSql(plan->canonical(), *plan->fo_program());
+  ASSERT_TRUE(sql.ok()) << sql.status();
+  // The embedded quote doubles, so the whole hostile name stays INSIDE
+  // one quoted identifier — the `"` the attacker embedded cannot close
+  // the identifier early, and the raw breakout `R" FROM` never appears.
+  EXPECT_TRUE(Contains(*sql, quoted)) << *sql;
+  EXPECT_FALSE(Contains(*sql, "R\" FROM")) << *sql;
 }
 
 TEST(SqlLowerTest, TableAndColumnNames) {
@@ -144,6 +182,27 @@ TEST(SqlLowerTest, ProgramIndexDdlIsCreateIfNotExists) {
     EXPECT_TRUE(Contains(stmt, "CREATE INDEX IF NOT EXISTS")) << stmt;
   }
 }
+
+/// Every FO-classified random query must lower to balanced SQL.
+class SqlLowerSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SqlLowerSweep, RandomFoQueriesLower) {
+  QueryGenOptions options;
+  options.seed = GetParam();
+  options.num_atoms = 2 + static_cast<int>(GetParam() % 3);
+  Query q = RandomAcyclicQuery(options);
+  Result<std::shared_ptr<const QueryPlan>> plan = QueryPlan::Compile(q);
+  ASSERT_TRUE(plan.ok()) << q.ToString() << ": " << plan.status();
+  if ((*plan)->complexity() != ComplexityClass::kFirstOrder) return;
+  ASSERT_NE((*plan)->fo_program(), nullptr) << q.ToString();
+  Result<std::string> sql = BooleanSolveSql(*(*plan)->fo_program());
+  ASSERT_TRUE(sql.ok()) << q.ToString() << ": " << sql.status();
+  EXPECT_TRUE(ParensBalanced(*sql)) << q.ToString() << "\n" << *sql;
+  EXPECT_TRUE(Contains(*sql, "SELECT ")) << *sql;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SqlLowerSweep,
+                         ::testing::Range(uint64_t{1}, uint64_t{100}));
 
 }  // namespace
 }  // namespace cqa

@@ -13,6 +13,8 @@
 // full guard-relation scan per row) and once through the FoProgram
 // executor (all rows in one indexed pass). Their ratio at the largest
 // size is the set-at-a-time speedup recorded in BENCH_results.json.
+// BM_Fo_CandidateEnumeration times the step before them: enumerating
+// those candidate rows.
 
 #include "bench_main.h"
 
@@ -87,6 +89,25 @@ void BM_Fo_CertainAnswersProgram(benchmark::State& state) {
   state.counters["certain"] = static_cast<double>(certain);
 }
 BENCHMARK(BM_Fo_CertainAnswersProgram)
+    ->RangeMultiplier(4)
+    ->Range(32, cqa_bench::RangeLimit(2048, 128));
+
+void BM_Fo_CandidateEnumeration(benchmark::State& state) {
+  // The serial stage before every full decide: the distinct candidate
+  // rows of PathQuery2 on x, enumerated by the projection-aware join.
+  Database db = PathDb(static_cast<int>(state.range(0)), 42);
+  Query q = corpus::PathQuery2();
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  FactIndex index(db);
+  size_t rows = 0;
+  for (auto _ : state) {
+    rows = CollectProjectionsSorted(index, q, Valuation(), fv).size();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["facts"] = db.size();
+  state.counters["rows"] = static_cast<double>(rows);
+}
+BENCHMARK(BM_Fo_CandidateEnumeration)
     ->RangeMultiplier(4)
     ->Range(32, cqa_bench::RangeLimit(2048, 128));
 

@@ -2,7 +2,6 @@
 #define CQA_CQ_MATCHER_H_
 
 #include <functional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -52,7 +51,22 @@
 ///
 /// The pre-index matcher is retained as `MatcherMode::kNaive` (static
 /// atom order, full relation scans) and serves as the differential-
-/// testing oracle; set CQA_NAIVE_MATCHER=1 to flip the process default.
+/// testing oracle; set CQA_NAIVE_MATCHER=1 to flip the process default
+/// of the `ForEachEmbedding` family.
+///
+/// ## Candidate enumeration
+///
+/// `CollectProjectionsSorted` does not walk embeddings. It plans one
+/// static atom order per call (fully bound key, then any bound
+/// position, then the smallest scan; ties go to atoms binding projected
+/// variables), which fixes every depth's access path and compiles each
+/// atom position to a constant check, a register check or a register
+/// bind. Once every projected variable is bound, the remaining atoms
+/// only need *some* completion: the search stops at the first one, and
+/// an atom whose other positions are variables occurring nowhere else
+/// is decided by its bucket being non-empty. The mode switch above does
+/// not reach it; its oracle is the projection of the naive embeddings,
+/// which the differential tests compute.
 
 namespace cqa {
 
@@ -71,7 +85,23 @@ void SetDefaultMatcherMode(MatcherMode mode);
 /// Lazy sub-indexes make the accessors logically-const but not
 /// thread-safe (matching the single-threaded session model).
 class FactIndex {
+ private:
+  struct VecHash {
+    size_t operator()(const std::vector<SymbolId>& k) const {
+      size_t h = 0x9e3779b97f4a7c15ull;
+      for (SymbolId v : k) h = h * 1000003u + v;
+      return h;
+    }
+  };
+
  public:
+  using Bucket = std::vector<const Fact*>;
+  /// One lazy position index: value -> facts carrying it there.
+  using PositionBuckets = std::unordered_map<SymbolId, Bucket>;
+  /// One lazy key-prefix index: prefix -> facts starting with it.
+  using PrefixBuckets =
+      std::unordered_map<std::vector<SymbolId>, Bucket, VecHash>;
+
   FactIndex() = default;
   explicit FactIndex(const Database& db);
   explicit FactIndex(const Repair& repair);
@@ -98,6 +128,19 @@ class FactIndex {
   const std::vector<const Fact*>& FactsWithKeyPrefix(
       SymbolId relation, const std::vector<SymbolId>& prefix) const;
 
+  /// The whole index FactsAt(relation, position, ·) probes, built on
+  /// first use, so a join can resolve it once and probe it per node.
+  /// Null when no fact of `relation` was ever added.
+  const PositionBuckets* PositionIndex(SymbolId relation, int position) const;
+
+  /// Likewise the index FactsWithKeyPrefix probes for prefixes of
+  /// `length` values.
+  const PrefixBuckets* KeyPrefixIndex(SymbolId relation, int length) const;
+
+  /// The arity every fact ever added to `relation` had; -1 when none was
+  /// added or their arities differ.
+  int Arity(SymbolId relation) const;
+
   /// Membership test by fact value (hash lookup; the value-identity
   /// multiset is built lazily on first use).
   bool Contains(const Fact& fact) const;
@@ -105,30 +148,20 @@ class FactIndex {
   size_t total() const { return total_; }
 
  private:
-  struct VecHash {
-    size_t operator()(const std::vector<SymbolId>& k) const {
-      size_t h = 0x9e3779b97f4a7c15ull;
-      for (SymbolId v : k) h = h * 1000003u + v;
-      return h;
-    }
-  };
-  using Bucket = std::vector<const Fact*>;
-
   struct Relation {
     Bucket facts;
+    /// Smallest and largest arity ever added (removals keep them).
+    int min_arity = -1;
+    int max_arity = -1;
     /// fact pointer -> slot in `facts`, for O(1) swap-with-last removal.
     /// Built lazily on the first Remove/SwapFact of the relation, so
     /// read-only indexes (the common case) never pay for it.
     mutable std::unordered_map<const Fact*, size_t> slot;
     mutable bool slots_built = false;
     /// Lazy position indexes; by_position[p] exists once FactsAt probed p.
-    mutable std::unordered_map<int, std::unordered_map<SymbolId, Bucket>>
-        by_position;
+    mutable std::unordered_map<int, PositionBuckets> by_position;
     /// Lazy key-prefix indexes, keyed by prefix length.
-    mutable std::unordered_map<int,
-                               std::unordered_map<std::vector<SymbolId>,
-                                                  Bucket, VecHash>>
-        by_prefix;
+    mutable std::unordered_map<int, PrefixBuckets> by_prefix;
   };
 
   const Relation* FindRelation(SymbolId relation) const;
@@ -174,23 +207,17 @@ bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
 bool SatisfiesWith(const FactIndex& index, const Query& q,
                    const Valuation& initial);
 
-/// Adds to `out` the distinct projections θ|vars over all embeddings θ
-/// of `q` into `index` extending `initial`. Every variable of `vars`
-/// must occur in q (so every embedding binds it). This is the
-/// candidate-answer enumeration primitive of the answering layers:
-/// the possible-answer enumeration calls it with an empty seed, and the
-/// serving `Session` seeds `initial` from a dirty block's key values so
-/// the matcher's key-prefix buckets prune the scan to the candidate
-/// tuples that delta could have touched.
-void CollectProjections(const FactIndex& index, const Query& q,
-                        const Valuation& initial,
-                        const std::vector<SymbolId>& vars,
-                        std::set<std::vector<SymbolId>>* out);
-
-/// Convenience form returning the distinct projections as a sorted
-/// vector — the candidate-row shape the batched certainty deciders
-/// (`QueryPlan::IsCertainRows`, the serving session's recompute paths)
-/// consume directly.
+/// The distinct projections θ|vars over all embeddings θ of `q` into
+/// `index` extending `initial`, sorted. Every variable of `vars` must
+/// occur in q or be bound by `initial` (otherwise the result is empty);
+/// a variable listed twice fills both columns. With `vars` empty the
+/// result is {()} when some embedding exists and {} otherwise. This is
+/// the candidate-row enumeration of the answering layers, in the shape
+/// the batched certainty deciders (`QueryPlan::IsCertainRows`, the
+/// serving session's recompute paths) consume: full recomputes pass an
+/// empty seed, and the serving `Session` seeds `initial` from a dirty
+/// block's key values so the key-prefix buckets prune the join to the
+/// candidate tuples that delta could have touched.
 std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
     const FactIndex& index, const Query& q, const Valuation& initial,
     const std::vector<SymbolId>& vars);

@@ -22,11 +22,12 @@ std::string PageToken(uint64_t cursor_id, size_t offset) {
 }
 
 /// Parses the decimal digits token[begin, end) into *out; false on a
-/// non-digit or a value that overflows T (it would wrap onto a number
-/// we did mint).
+/// non-digit, a leading zero or a value that overflows T (either would
+/// alias a number we did mint).
 template <typename T>
 bool ParseDecimal(const std::string& token, size_t begin, size_t end,
                   T* out) {
+  if (end - begin > 1 && token[begin] == '0') return false;
   T value = 0;
   for (size_t i = begin; i < end; ++i) {
     if (token[i] < '0' || token[i] > '9') return false;

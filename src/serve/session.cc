@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <condition_variable>
-#include <set>
+#include <iterator>
 #include <unordered_set>
 #include <utility>
 
@@ -711,34 +711,53 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
         }
         return false;
       };
-      // Rows out of every changed block's reach keep their status.
-      std::set<std::vector<SymbolId>> keep;
+      // Rows out of every changed block's reach keep their status
+      // (filtering the sorted snapshot keeps them sorted).
+      RowSet keep;
       for (const std::vector<SymbolId>& row : *cached->second) {
-        if (!matches_any(row)) keep.insert(row);
+        if (!matches_any(row)) keep.push_back(row);
       }
       uint64_t reused = keep.size();
       // Dirty candidates: the possible rows matching a pattern, found
-      // by seeding the matcher with the pattern's key values (dropped
-      // cached rows that are no longer possible never re-enter).
-      std::set<std::vector<SymbolId>> candidate_set;
+      // by seeding the enumerator with the pattern's key values (dropped
+      // cached rows that are no longer possible never re-enter). Two
+      // patterns may reach the same row.
+      RowSet candidates;
       for (const DirtyPattern& pattern : *patterns) {
         Valuation initial;
         for (const auto& [param, value] : pattern.bindings) {
           initial.Bind(free_vars[param], value);
         }
-        CollectProjections(ctx.fact_index(), q, initial, free_vars,
-                           &candidate_set);
+        RowSet rows = CollectProjectionsSorted(ctx.fact_index(), q, initial,
+                                               free_vars);
+        candidates.insert(candidates.end(),
+                          std::make_move_iterator(rows.begin()),
+                          std::make_move_iterator(rows.end()));
+      }
+      if (patterns->size() > 1) {
+        std::sort(candidates.begin(), candidates.end());
+        candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                         candidates.end());
       }
       // One batched execution re-decides every dirty row, partitioned
       // across the pool when the dirty set is large enough.
-      RowSet candidates(candidate_set.begin(), candidate_set.end());
       Result<std::vector<char>> certain =
           DecideRows(ctx, *plan, candidates, deadline);
       if (!certain.ok()) return certain.status();
+      RowSet certain_rows;
       for (size_t i = 0; i < candidates.size(); ++i) {
-        if ((*certain)[i]) keep.insert(std::move(candidates[i]));
+        if ((*certain)[i]) certain_rows.push_back(std::move(candidates[i]));
       }
-      snapshot = std::make_shared<const RowSet>(keep.begin(), keep.end());
+      // Both runs are sorted; a row in both keeps one copy, as a set
+      // union would.
+      RowSet rows;
+      rows.reserve(keep.size() + certain_rows.size());
+      std::set_union(std::make_move_iterator(keep.begin()),
+                     std::make_move_iterator(keep.end()),
+                     std::make_move_iterator(certain_rows.begin()),
+                     std::make_move_iterator(certain_rows.end()),
+                     std::back_inserter(rows));
+      snapshot = std::make_shared<const RowSet>(std::move(rows));
       {
         std::lock_guard<std::mutex> stats_lock(stats_mu_);
         ++stats_.answers_incremental;

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cq/corpus.h"
@@ -11,6 +13,7 @@
 #include "db/repairs.h"
 #include "gen/db_gen.h"
 #include "gen/query_gen.h"
+#include "util/rng.h"
 
 namespace cqa {
 namespace {
@@ -33,9 +36,98 @@ std::multiset<std::vector<std::pair<SymbolId, SymbolId>>> Embeddings(
   return out;
 }
 
+using Rows = std::vector<std::vector<SymbolId>>;
+
+/// The test-side oracle of CollectProjectionsSorted: the distinct
+/// projections of the naive matcher's embeddings, sorted.
+Rows ReferenceProjections(const FactIndex& index, const Query& q,
+                          const Valuation& initial,
+                          const std::vector<SymbolId>& vars) {
+  std::set<std::vector<SymbolId>> rows;
+  ForEachEmbedding(index, q, initial,
+                   [&](const Valuation& theta) {
+                     std::vector<SymbolId> row;
+                     for (SymbolId v : vars) row.push_back(*theta.Get(v));
+                     rows.insert(std::move(row));
+                     return true;
+                   },
+                   MatcherMode::kNaive);
+  return Rows(rows.begin(), rows.end());
+}
+
+std::string VarList(const std::vector<SymbolId>& vars) {
+  std::string out = "[";
+  for (SymbolId v : vars) out += " " + SymbolName(v);
+  return out + " ]";
+}
+
+/// Counts the enumerator's disagreements with the oracle (and reports
+/// each one).
+int ProjectionDisagreements(const FactIndex& index, const Query& q,
+                            const Valuation& initial,
+                            const std::vector<SymbolId>& vars,
+                            const std::string& context) {
+  Rows got = CollectProjectionsSorted(index, q, initial, vars);
+  Rows want = ReferenceProjections(index, q, initial, vars);
+  EXPECT_EQ(got, want) << context << "\nquery: " << q.ToString()
+                       << "\nvars: " << VarList(vars)
+                       << "\nseed: " << initial.ToString();
+  return got == want ? 0 : 1;
+}
+
+/// The enumerator against its oracle on one (index, query) pair:
+/// projections on no variable, every variable, a seed-chosen subset and
+/// that subset with its first variable listed twice; each unseeded, with
+/// a seed-chosen part of the projected variables pre-bound to a value of
+/// some embedding, and pre-bound to an arbitrary domain value.
+int ExpectEnumeratorAgrees(const FactIndex& index, const Query& q,
+                           const std::vector<SymbolId>& domain,
+                           uint64_t seed, const std::string& context) {
+  VarSet var_set = q.Vars();
+  std::vector<SymbolId> all(var_set.begin(), var_set.end());
+  Rng rng(seed * 0x2545f4914f6cdd1dull + 1);
+  std::vector<SymbolId> subset;
+  for (SymbolId v : all) {
+    if (rng.Chance(1, 2)) subset.push_back(v);
+  }
+  rng.Shuffle(&subset);
+  std::vector<SymbolId> twice = subset;
+  if (!twice.empty()) twice.push_back(twice.front());
+  Valuation witness;
+  ForEachEmbedding(index, q, Valuation(), [&](const Valuation& theta) {
+    witness = theta;
+    return false;
+  });
+  int disagreements = 0;
+  for (const std::vector<SymbolId>& vars :
+       {std::vector<SymbolId>{}, all, subset, twice}) {
+    disagreements +=
+        ProjectionDisagreements(index, q, Valuation(), vars, context);
+    Valuation from_witness;
+    Valuation from_domain;
+    for (SymbolId v : vars) {
+      if (!rng.Chance(1, 2)) continue;
+      if (std::optional<SymbolId> value = witness.Get(v)) {
+        from_witness.Bind(v, *value);
+      }
+      if (!domain.empty()) {
+        from_domain.Bind(v, domain[rng.Below(domain.size())]);
+      }
+    }
+    disagreements += ProjectionDisagreements(index, q, from_witness, vars,
+                                             context + " (witness seed)");
+    disagreements += ProjectionDisagreements(index, q, from_domain, vars,
+                                             context + " (domain seed)");
+  }
+  return disagreements;
+}
+
 void ExpectMatchersAgree(const Database& db, const Query& q,
-                         const std::string& context) {
+                         const std::string& context, uint64_t seed) {
   FactIndex index(db);
+  EXPECT_EQ(ExpectEnumeratorAgrees(index, q, db.ActiveDomain(), seed,
+                                   context),
+            0);
   auto indexed = Embeddings(index, q, Valuation(), MatcherMode::kIndexed);
   auto naive = Embeddings(index, q, Valuation(), MatcherMode::kNaive);
   ASSERT_EQ(indexed, naive) << context << "\nquery: " << q.ToString()
@@ -70,7 +162,7 @@ TEST_P(MatcherDifferential, RandomQueriesUniformDb) {
   dopts.seed = seed * 31 + 7;
   dopts.domain_size = 3 + static_cast<int>(seed % 4);
   dopts.facts_per_relation = 6 + static_cast<int>(seed % 8);
-  ExpectMatchersAgree(RandomDatabase(q, dopts), q, "uniform");
+  ExpectMatchersAgree(RandomDatabase(q, dopts), q, "uniform", seed);
 }
 
 TEST_P(MatcherDifferential, RandomQueriesBlockDb) {
@@ -84,7 +176,7 @@ TEST_P(MatcherDifferential, RandomQueriesBlockDb) {
   bopts.blocks_per_relation = 3 + static_cast<int>(seed % 3);
   bopts.max_block_size = 2 + static_cast<int>(seed % 2);
   bopts.domain_size = 3 + static_cast<int>(seed % 3);
-  ExpectMatchersAgree(RandomBlockDatabase(q, bopts), q, "block");
+  ExpectMatchersAgree(RandomBlockDatabase(q, bopts), q, "block", seed);
 }
 
 TEST_P(MatcherDifferential, CorpusQueries) {
@@ -94,7 +186,7 @@ TEST_P(MatcherDifferential, CorpusQueries) {
     bopts.blocks_per_relation = 3;
     bopts.max_block_size = 2;
     bopts.domain_size = 4;
-    ExpectMatchersAgree(RandomBlockDatabase(q, bopts), q, name);
+    ExpectMatchersAgree(RandomBlockDatabase(q, bopts), q, name, GetParam());
   }
 }
 
@@ -126,6 +218,142 @@ TEST_P(MatcherDifferential, PartialInitialValuation) {
 // 350 seeds x (1 uniform + 1 block + |corpus| + partial) >> 1000 pairs.
 INSTANTIATE_TEST_SUITE_P(Seeds, MatcherDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{351}));
+
+// ------------------------------------------- projection enumerator cases
+
+/// Facts owned by the test and indexed by hand, so one relation may hold
+/// facts of several arities (a Database keeps one signature each).
+struct HandIndex {
+  std::deque<Fact> facts;
+  FactIndex index;
+
+  void Add(const std::string& relation, const std::vector<std::string>& values,
+           int key_arity) {
+    facts.push_back(Fact::Make(relation, values, key_arity));
+    index.Add(&facts.back());
+  }
+};
+
+/// Random queries the acyclic generator does not produce — self-joins,
+/// repeated variables within an atom, constants, atoms whose arity
+/// differs from their relation's — over random, sometimes mixed-arity,
+/// fact sets.
+TEST_P(MatcherDifferential, EnumeratorShapedQueries) {
+  uint64_t seed = GetParam();
+  Rng rng(seed * 0x9e3779b97f4a7c15ull + 17);
+  const std::vector<std::string> domain = {"a", "b", "c", "d"};
+  const std::vector<std::string> var_names = {"x", "y", "z", "w"};
+  const int num_relations = 3;
+  std::vector<int> arity(num_relations);
+  std::vector<int> key_arity(num_relations);
+  HandIndex hand;
+  for (int r = 0; r < num_relations; ++r) {
+    std::string name = "E" + std::to_string(r);
+    arity[r] = static_cast<int>(rng.Range(1, 3));
+    key_arity[r] = static_cast<int>(rng.Range(1, arity[r]));
+    int facts = static_cast<int>(rng.Range(0, 9));
+    for (int f = 0; f < facts; ++f) {
+      // One relation in five also gets facts of a neighbouring arity.
+      int a = arity[r];
+      if (r == 0 && seed % 5 == 0 && rng.Chance(1, 3)) a += 1;
+      std::vector<std::string> values;
+      for (int p = 0; p < a; ++p) {
+        values.push_back(domain[rng.Below(domain.size())]);
+      }
+      hand.Add(name, values, std::min(key_arity[r], a));
+    }
+  }
+  Query q;
+  int atoms = static_cast<int>(rng.Range(1, 4));
+  for (int i = 0; i < atoms; ++i) {
+    int r = static_cast<int>(rng.Below(num_relations));
+    int a = arity[r];
+    if (rng.Chance(1, 8)) a = a == 1 ? 2 : a - 1;  // Arity mismatch.
+    std::vector<Term> terms;
+    for (int p = 0; p < a; ++p) {
+      terms.push_back(rng.Chance(3, 4)
+                          ? Term::Var(var_names[rng.Below(var_names.size())])
+                          : Term::Const(domain[rng.Below(domain.size())]));
+    }
+    q.AddAtom(Atom(InternSymbol("E" + std::to_string(r)), std::move(terms),
+                   std::min(key_arity[r], a)));
+  }
+  std::vector<SymbolId> adom;
+  for (const std::string& v : domain) adom.push_back(InternSymbol(v));
+  EXPECT_EQ(ExpectEnumeratorAgrees(hand.index, q, adom, seed, "shaped"), 0);
+}
+
+Rows Project(const FactIndex& index, const std::string& query,
+             const std::vector<std::string>& vars,
+             const Valuation& initial = Valuation()) {
+  std::vector<SymbolId> ids;
+  for (const std::string& v : vars) ids.push_back(InternSymbol(v));
+  Query q = MustParseQuery(query);
+  EXPECT_EQ(ProjectionDisagreements(index, q, initial, ids, query), 0);
+  return CollectProjectionsSorted(index, q, initial, ids);
+}
+
+Rows Symbols(const std::vector<std::vector<std::string>>& rows) {
+  Rows out;
+  for (const auto& row : rows) {
+    std::vector<SymbolId> ids;
+    for (const std::string& v : row) ids.push_back(InternSymbol(v));
+    out.push_back(std::move(ids));
+  }
+  return out;
+}
+
+TEST(ProjectionEnumeratorTest, BooleanAndDuplicatedColumns) {
+  HandIndex hand;
+  hand.Add("R", {"a", "b"}, 1);
+  hand.Add("R", {"a", "c"}, 1);
+  hand.Add("S", {"b", "d"}, 1);
+  // No projected variable: one empty row iff some embedding exists.
+  EXPECT_EQ(Project(hand.index, "R(x | y), S(y | z)", {}), Rows{{}});
+  EXPECT_EQ(Project(hand.index, "R(x | y), S(x | z)", {}), Rows{});
+  // A variable listed twice fills both columns from one binding.
+  EXPECT_EQ(Project(hand.index, "R(x | y), S(y | z)", {"y", "x", "y"}),
+            Symbols({{"b", "a", "b"}}));
+  // Constants and a seed restrict the rows.
+  EXPECT_EQ(Project(hand.index, "R(x | 'c')", {"x"}), Symbols({{"a"}}));
+  Valuation seed;
+  seed.Bind(InternSymbol("y"), InternSymbol("c"));
+  EXPECT_EQ(Project(hand.index, "R(x | y)", {"x", "y"}, seed),
+            Symbols({{"a", "c"}}));
+}
+
+TEST(ProjectionEnumeratorTest, RepeatedVariableWithinAnAtom) {
+  HandIndex hand;
+  hand.Add("R", {"a", "a", "b"}, 1);
+  hand.Add("R", {"a", "c", "b"}, 1);
+  hand.Add("R", {"d", "d", "d"}, 1);
+  EXPECT_EQ(Project(hand.index, "R(x | x, y)", {"y"}),
+            Symbols({{"b"}, {"d"}}));
+  EXPECT_EQ(Project(hand.index, "R(x | y, y)", {"x"}), Symbols({{"d"}}));
+}
+
+TEST(ProjectionEnumeratorTest, ArityMismatchMatchesNothing) {
+  // Past the projection cut, T(y | u, v) would be decided by its
+  // bucket being non-empty; a fact of the wrong arity in that bucket
+  // must not count.
+  HandIndex hand;
+  hand.Add("S", {"s1", "a"}, 1);
+  hand.Add("S", {"s2", "c"}, 1);
+  hand.Add("T", {"a", "b"}, 1);
+  hand.Add("T", {"c", "d", "e"}, 1);
+  EXPECT_EQ(Project(hand.index, "S(x | y), T(y | u, v)", {"x"}),
+            Symbols({{"s2"}}));
+  EXPECT_EQ(Project(hand.index, "S(x | y), T(y | u)", {"x"}),
+            Symbols({{"s1"}}));
+  // One signature per relation: the atom's arity differs from it.
+  Database db;
+  ASSERT_TRUE(db.AddFact(Fact::Make("S", {"s1", "a"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(Fact::Make("T", {"a", "b"}, 1)).ok());
+  FactIndex index(db);
+  EXPECT_EQ(Project(index, "S(x | y), T(y | u, v)", {"x"}), Rows{});
+  EXPECT_EQ(Project(index, "S(x | y), T(y | u, v)", {}), Rows{});
+  EXPECT_EQ(Project(index, "S(x | y), T(y | u)", {"x"}), Symbols({{"s1"}}));
+}
 
 // ------------------------------------------------------- FactIndex units
 

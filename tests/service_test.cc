@@ -292,14 +292,15 @@ TEST(ServiceTest, PaginationEdgeCases) {
   bad.page_token = "not-a-token";
   EXPECT_EQ(service.CertainAnswers(bad).status().code(),
             StatusCode::kInvalidArgument);
-  // Numbers that overflow must not wrap onto a live cursor: with cursor
-  // 2 open at offset 1, 2^64 + 2 and an offset of 2^64 + 1 are tokens
-  // the service never minted.
+  // Numbers that overflow or carry a leading zero must not alias a
+  // live cursor: with cursor 2 open at offset 1, 2^64 + 2, an offset of
+  // 2^64 + 1, "02" and "01" are tokens the service never minted.
   req.page_size = 1;
   Service::CertainAnswersResponse live = service.CertainAnswers(req).value();
   ASSERT_EQ(live.next_page_token, "v1:2:1");
-  for (const char* token :
-       {"v1:18446744073709551618:1", "v1:2:18446744073709551617"}) {
+  for (const char* token : {"v1:18446744073709551618:1",
+                            "v1:2:18446744073709551617", "v1:02:1",
+                            "v1:2:01"}) {
     bad.page_token = token;
     EXPECT_EQ(service.CertainAnswers(bad).status().code(),
               StatusCode::kInvalidArgument)

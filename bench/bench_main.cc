@@ -86,7 +86,7 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       // Plan-cache and serving counters, when the benchmark sets them.
       for (const char* key :
            {"plan_hits", "plan_misses", "hit_rate", "qps", "threads",
-            "parallel_chunks"}) {
+            "parallel_chunks", "rows_decided"}) {
         auto cit = run.counters.find(key);
         if (cit != run.counters.end()) {
           line << ",\"" << key << "\":" << cit->second.value;

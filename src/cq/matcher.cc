@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <limits>
 #include <tuple>
 
 namespace cqa {
@@ -86,7 +87,7 @@ void FactIndex::DropFromBucket(Bucket* bucket, const Fact* fact) {
   }
 }
 
-void FactIndex::Remove(const Fact* fact) {
+void FactIndex::Remove(const Fact* fact, EmptiedBuckets emptied) {
   auto rel_it = rels_.find(fact->relation());
   if (rel_it == rels_.end()) return;
   Relation& rel = rel_it->second;
@@ -110,14 +111,22 @@ void FactIndex::Remove(const Fact* fact) {
   for (auto& [pos, buckets] : rel.by_position) {
     if (pos >= fact->arity()) continue;
     auto it = buckets.find(fact->values()[pos]);
-    if (it != buckets.end()) DropFromBucket(&it->second, fact);
+    if (it == buckets.end()) continue;
+    DropFromBucket(&it->second, fact);
+    if (emptied == EmptiedBuckets::kErase && it->second.empty()) {
+      buckets.erase(it);
+    }
   }
   for (auto& [len, buckets] : rel.by_prefix) {
     if (len > fact->arity()) continue;
     std::vector<SymbolId> prefix(fact->values().begin(),
                                  fact->values().begin() + len);
     auto it = buckets.find(prefix);
-    if (it != buckets.end()) DropFromBucket(&it->second, fact);
+    if (it == buckets.end()) continue;
+    DropFromBucket(&it->second, fact);
+    if (emptied == EmptiedBuckets::kErase && it->second.empty()) {
+      buckets.erase(it);
+    }
   }
   if (counts_built_) {
     auto count_it = fact_counts_.find(*fact);
@@ -128,9 +137,10 @@ void FactIndex::Remove(const Fact* fact) {
   --total_;
 }
 
-void FactIndex::SwapFact(const Fact* old_fact, const Fact* new_fact) {
+void FactIndex::SwapFact(const Fact* old_fact, const Fact* new_fact,
+                         EmptiedBuckets emptied) {
   if (old_fact == new_fact) return;
-  Remove(old_fact);
+  Remove(old_fact, emptied);
   Add(new_fact);
 }
 
@@ -482,12 +492,13 @@ class ProjectionJoin {
  public:
   ProjectionJoin(const FactIndex& index, const Query& q,
                  const Valuation& initial,
-                 const std::vector<SymbolId>& vars)
-      : index_(index) {
+                 const std::vector<SymbolId>& vars, size_t max_rows)
+      : index_(index), max_rows_(max_rows) {
     possible_ = Plan(q, initial, vars);
   }
 
-  std::vector<std::vector<SymbolId>> Run() {
+  /// Nullopt once more than `max_rows` rows were emitted.
+  std::optional<std::vector<std::vector<SymbolId>>> Run() {
     std::vector<std::vector<SymbolId>> out;
     if (!possible_) return out;
     if (cut_ == 0) {
@@ -495,6 +506,7 @@ class ProjectionJoin {
     } else {
       Enumerate(0);
     }
+    if (num_rows_ > max_rows_) return std::nullopt;
     const size_t stride = out_regs_.size();
     if (stride == 0) {
       if (num_rows_ > 0) out.emplace_back();
@@ -747,6 +759,7 @@ class ProjectionJoin {
       } else {
         Enumerate(depth + 1);
       }
+      if (num_rows_ > max_rows_) return;
     }
   }
 
@@ -783,6 +796,7 @@ class ProjectionJoin {
   }
 
   const FactIndex& index_;
+  size_t max_rows_;
   bool possible_ = false;
   /// register -> variable, and register -> current value.
   std::vector<SymbolId> reg_vars_;
@@ -802,7 +816,17 @@ class ProjectionJoin {
 std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
     const FactIndex& index, const Query& q, const Valuation& initial,
     const std::vector<SymbolId>& vars) {
-  return ProjectionJoin(index, q, initial, vars).Run();
+  return *ProjectionJoin(index, q, initial, vars,
+                         std::numeric_limits<size_t>::max())
+              .Run();
+}
+
+std::optional<std::vector<std::vector<SymbolId>>>
+CollectProjectionsSortedUpTo(const FactIndex& index, const Query& q,
+                             const Valuation& initial,
+                             const std::vector<SymbolId>& vars,
+                             size_t max_rows) {
+  return ProjectionJoin(index, q, initial, vars, max_rows).Run();
 }
 
 bool Satisfies(const Database& db, const Query& q) {

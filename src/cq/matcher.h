@@ -2,6 +2,7 @@
 #define CQA_CQ_MATCHER_H_
 
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -109,11 +110,23 @@ class FactIndex {
   /// Inserts `fact`. The pointer must stay valid until removed.
   void Add(const Fact* fact);
 
-  /// Removes a pointer previously passed to Add (no-op for strangers).
-  void Remove(const Fact* fact);
+  /// What a removal does with a position or key-prefix bucket it
+  /// empties. kErase keeps an index patched by deltas whose values
+  /// leave for good (fresh keys ingested, old ones retired) the size of
+  /// its contents. kKeep is for a backtracking walk that comes back to
+  /// the same values (the repair odometer, the possible-world
+  /// recursion): it spares freeing and re-allocating the bucket at
+  /// every step.
+  enum class EmptiedBuckets { kErase, kKeep };
 
-  /// Remove(old_fact) + Add(new_fact): the per-block repair transition.
-  void SwapFact(const Fact* old_fact, const Fact* new_fact);
+  /// Removes a pointer previously passed to Add (no-op for strangers).
+  void Remove(const Fact* fact,
+              EmptiedBuckets emptied = EmptiedBuckets::kErase);
+
+  /// Remove(old_fact, emptied) + Add(new_fact): the per-block repair
+  /// transition.
+  void SwapFact(const Fact* old_fact, const Fact* new_fact,
+                EmptiedBuckets emptied = EmptiedBuckets::kErase);
 
   /// All facts of `relation`, in insertion order (mutations may permute).
   const std::vector<const Fact*>& Facts(SymbolId relation) const;
@@ -215,12 +228,21 @@ bool SatisfiesWith(const FactIndex& index, const Query& q,
 /// the candidate-row enumeration of the answering layers, in the shape
 /// the batched certainty deciders (`QueryPlan::IsCertainRows`, the
 /// serving session's recompute paths) consume: full recomputes pass an
-/// empty seed, and the serving `Session` seeds `initial` from a dirty
+/// empty seed, and the serving `Session` seeds `initial` from a changed
 /// block's key values so the key-prefix buckets prune the join to the
-/// candidate tuples that delta could have touched.
+/// rows a delta reaches.
 std::vector<std::vector<SymbolId>> CollectProjectionsSorted(
     const FactIndex& index, const Query& q, const Valuation& initial,
     const std::vector<SymbolId>& vars);
+
+/// CollectProjectionsSorted, given up (nullopt) as soon as the join has
+/// produced more than `max_rows` rows — a row met again on a later path
+/// counts again — so a caller with a row budget stops paying there.
+std::optional<std::vector<std::vector<SymbolId>>>
+CollectProjectionsSortedUpTo(const FactIndex& index, const Query& q,
+                             const Valuation& initial,
+                             const std::vector<SymbolId>& vars,
+                             size_t max_rows);
 
 }  // namespace cqa
 

@@ -42,14 +42,15 @@ bool RepairEnumerator::ForEachIndexed(
     if (!fn(index, repair)) return false;
     // Odometer increment; every flipped block is one SwapFact (digits
     // that wrap back to 0 included), so the index mutation cost per
-    // repair is the number of carried digits — amortised O(1).
+    // repair is the number of carried digits — amortised O(1). The walk
+    // comes back to every value, so emptied buckets are kept.
     size_t i = 0;
     for (; i < n; ++i) {
       size_t next = choice[i] + 1 < blocks[i].fact_ids.size()
                         ? choice[i] + 1
                         : 0;
       const Fact* new_fact = &facts[blocks[i].fact_ids[next]];
-      index.SwapFact(repair[i], new_fact);
+      index.SwapFact(repair[i], new_fact, FactIndex::EmptiedBuckets::kKeep);
       repair[i] = new_fact;
       choice[i] = next;
       if (next != 0) break;

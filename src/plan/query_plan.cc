@@ -1,6 +1,5 @@
 #include "plan/query_plan.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -34,36 +33,6 @@ Query FreezeParams(const Query& q, const std::vector<SymbolId>& params) {
     frozen = frozen.Substitute(v, InternSymbol("$param_" + SymbolName(v)));
   }
   return frozen;
-}
-
-/// Classifies every key position of every canonical atom against the
-/// parameter list (see AtomKeyPattern in the header).
-std::vector<AtomKeyPattern> ComputeKeyPatterns(
-    const Query& q, const std::vector<SymbolId>& params) {
-  std::vector<AtomKeyPattern> patterns;
-  patterns.reserve(q.atoms().size());
-  for (const Atom& atom : q.atoms()) {
-    AtomKeyPattern pattern;
-    pattern.relation = atom.relation();
-    pattern.key.reserve(atom.key_arity());
-    for (int i = 0; i < atom.key_arity(); ++i) {
-      const Term& t = atom.terms()[i];
-      AtomKeyPattern::Slot slot;
-      if (t.is_const()) {
-        slot.kind = AtomKeyPattern::Slot::Kind::kConstant;
-        slot.constant = t.id();
-      } else {
-        auto it = std::find(params.begin(), params.end(), t.id());
-        if (it != params.end()) {
-          slot.kind = AtomKeyPattern::Slot::Kind::kParam;
-          slot.param = static_cast<int>(it - params.begin());
-        }
-      }
-      pattern.key.push_back(slot);
-    }
-    patterns.push_back(std::move(pattern));
-  }
-  return patterns;
 }
 
 }  // namespace
@@ -102,8 +71,6 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
   // (ValidateFreeVars, run by Compile and by the PlanCache) — the
   // canonical form cannot express it: a duplicated free variable is
   // legal but leaves its later #p_i placeholders without occurrences.
-  plan->key_patterns_ = ComputeKeyPatterns(c.query, c.params);
-
   Result<Classification> cls = ClassifyQuery(
       c.params.empty() ? c.query : FreezeParams(c.query, c.params));
   if (!cls.ok()) {
@@ -191,7 +158,6 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
   // forced plan's results apart from the classifier-chosen plan's.
   plan->canonical_.key += std::string(";solver=") + ToString(kind);
   const CanonicalQuery& c = plan->canonical_;
-  plan->key_patterns_ = ComputeKeyPatterns(c.query, c.params);
   Result<Classification> cls = ClassifyQuery(c.query);
   if (cls.ok()) {
     plan->classification_ = *cls;

@@ -28,33 +28,6 @@
 
 namespace cqa {
 
-/// Compile-time key-position metadata of one atom of the canonical
-/// query: every key position is a constant, a parameter (a free
-/// variable, identified by its positional index in the plan's parameter
-/// list), or an existential wildcard.
-///
-/// This is the plan's handle for *key-prefix pruning* on the database
-/// side. A block (relation + key) can participate in an embedding of
-/// q[r] only if its key matches some atom's pattern under the row r:
-/// constant slots equal the block's key value, parameter slots equal
-/// r[param]. Since repairs factor into independent per-block choices,
-/// CERTAINTY(q[r]) is invariant under any change to a block matching no
-/// pattern — which is what lets the serving session re-decide only the
-/// answer rows whose patterns a delta touched, and enumerate candidate
-/// rows seeded with the touched key values (see serve/session.cc).
-struct AtomKeyPattern {
-  struct Slot {
-    enum class Kind : uint8_t { kConstant, kParam, kWildcard };
-    Kind kind = Kind::kWildcard;
-    /// The constant (kConstant) or parameter index (kParam).
-    SymbolId constant = 0;
-    int param = -1;
-  };
-  SymbolId relation = 0;
-  /// One entry per key position of the atom.
-  std::vector<Slot> key;
-};
-
 /// The outcome of one certainty decision.
 struct SolveOutcome {
   bool certain = false;
@@ -143,14 +116,6 @@ class QueryPlan {
     return fo_program_;
   }
 
-  /// Per-atom key-position patterns of the canonical query (parameter
-  /// indexes positionally aligned with the plan's parameters / the
-  /// caller's free_vars). Computed for every plan, including the
-  /// SAT-fallback fragments.
-  const std::vector<AtomKeyPattern>& key_patterns() const {
-    return key_patterns_;
-  }
-
   // ------------------------------------------------------- evaluation
   /// Decides db ∈ CERTAINTY(q) for a Boolean plan. Thread-safe: any
   /// number of threads may Solve one plan concurrently (each with its
@@ -203,7 +168,6 @@ class QueryPlan {
   QueryPlan() = default;
 
   CanonicalQuery canonical_;
-  std::vector<AtomKeyPattern> key_patterns_;
   std::optional<Classification> classification_;
   ComplexityClass complexity_ = ComplexityClass::kOpenConjecturedPtime;
   SolverKind kind_ = SolverKind::kSat;

@@ -32,7 +32,8 @@ Rational WorldsOracle::Probability(const BidDatabase& bid, const Query& q) {
     for (int fid : block.fact_ids) {
       index.Add(&db.facts()[fid]);
       Recurse(i + 1, weight * bid.Probability(db.facts()[fid]));
-      index.Remove(&db.facts()[fid]);
+      // Every visit of this block comes back to the same facts.
+      index.Remove(&db.facts()[fid], FactIndex::EmptiedBuckets::kKeep);
     }
   };
   Recurse(0, Rational::One());

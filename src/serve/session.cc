@@ -4,6 +4,7 @@
 #include <cassert>
 #include <condition_variable>
 #include <iterator>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -257,6 +258,9 @@ void Session::MarkDefunct() {
 }
 
 Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
+  // The snapshots of the entries this delta erases; declared before the
+  // lock, so they are freed after readers are let back in.
+  std::vector<std::shared_ptr<const RowSet>> retired;
   std::unique_lock<WriterPriorityGate> lock(epoch_mu_);
   if (defunct_.load(std::memory_order_relaxed)) {
     return Status::NotFound("database was dropped");
@@ -272,8 +276,23 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
     CQA_RETURN_NOT_OK(options_.commit_hook(delta, next));
   }
 
+  std::vector<BlockKey> blocks;
+  blocks.reserve(actions->size());
+  for (const Action& action : *actions) {
+    blocks.emplace_back(action.fact.relation(), action.fact.KeyValues());
+  }
+  std::sort(blocks.begin(), blocks.end());
+  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
+
+  // Reach is enumerated on one live worker index: every built index is
+  // patched alike, and a delta never builds one.
+  const FactIndex* reach_index = nullptr;
+  for (const std::unique_ptr<EvalContext>& worker : workers_) {
+    if ((reach_index = worker->fact_index_if_built()) != nullptr) break;
+  }
+  MarkReach(reach_index, blocks, &retired);  // the old database
+
   bool domain_changed = false;
-  std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
   uint64_t added = 0;
   uint64_t removed = 0;
   for (const Action& action : *actions) {
@@ -286,10 +305,18 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
       ++removed;
     }
     domain_changed = domain_changed || adom_counts_.size() != before;
-    blocks.emplace_back(action.fact.relation(), action.fact.KeyValues());
   }
+  MarkReach(reach_index, blocks, &retired);  // the new database
 
-  if (domain_changed) {
+  std::vector<FormulaEvaluator*> evaluators;
+  for (const std::unique_ptr<EvalContext>& worker : workers_) {
+    if (FormulaEvaluator* evaluator = worker->evaluator_if_built()) {
+      evaluators.push_back(evaluator);
+    }
+  }
+  // An evaluator built later snapshots db_.ActiveDomain() itself, so
+  // the sorted domain is only rebuilt for the ones already built.
+  if (domain_changed && !evaluators.empty()) {
     std::vector<SymbolId> adom;
     adom.reserve(adom_counts_.size());
     for (const auto& [constant, count] : adom_counts_) {
@@ -297,19 +324,9 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
       adom.push_back(constant);
     }
     std::sort(adom.begin(), adom.end());
-    for (const std::unique_ptr<EvalContext>& worker : workers_) {
-      if (FormulaEvaluator* evaluator = worker->evaluator_if_built()) {
-        evaluator->SetActiveDomain(adom);
-      }
+    for (FormulaEvaluator* evaluator : evaluators) {
+      evaluator->SetActiveDomain(adom);
     }
-  }
-
-  std::sort(blocks.begin(), blocks.end());
-  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-
-  delta_log_.push_back(DeltaRecord{next, std::move(blocks)});
-  while (delta_log_.size() > options_.delta_log_window) {
-    delta_log_.pop_front();
   }
   epoch_.store(next, std::memory_order_release);
 
@@ -333,6 +350,108 @@ Result<uint64_t> Session::ApplyDelta(const Delta& delta) {
   }
   if (options_.post_commit_hook) options_.post_commit_hook(db_, next);
   return next;
+}
+
+namespace {
+
+/// The rows of (q, free_vars) that some embedding through a fact of one
+/// of `blocks` projects to, sorted and distinct: for every atom over a
+/// block's relation and key arity, the candidate enumeration seeded
+/// with the atom's key terms set to the block's key (a constant must
+/// equal it, a variable binds to it). Nullopt once more than `max_rows`
+/// blocks seed some atom (checked before enumerating) or the seeded
+/// enumerations produce more than `max_rows` rows (checked as they go).
+std::optional<Session::RowSet> ReachedRows(
+    const FactIndex& index, const Query& q,
+    const std::vector<SymbolId>& free_vars,
+    const std::vector<std::pair<SymbolId, std::vector<SymbolId>>>& blocks,
+    size_t max_rows) {
+  std::vector<Valuation> seeds;
+  size_t seeding_blocks = 0;
+  for (const auto& [relation, key] : blocks) {
+    size_t before = seeds.size();
+    for (const Atom& atom : q.atoms()) {
+      if (atom.relation() != relation ||
+          atom.key_arity() != static_cast<int>(key.size())) {
+        continue;
+      }
+      Valuation seed;
+      bool consistent = true;
+      for (size_t i = 0; i < key.size() && consistent; ++i) {
+        const Term& t = atom.terms()[i];
+        consistent =
+            t.is_const() ? t.id() == key[i] : seed.Bind(t.id(), key[i]);
+      }
+      if (consistent) seeds.push_back(std::move(seed));
+    }
+    if (seeds.size() > before && ++seeding_blocks > max_rows) {
+      return std::nullopt;
+    }
+  }
+  Session::RowSet reach;
+  for (const Valuation& seed : seeds) {
+    std::optional<Session::RowSet> rows = CollectProjectionsSortedUpTo(
+        index, q, seed, free_vars, max_rows - reach.size());
+    if (!rows.has_value()) return std::nullopt;
+    reach.insert(reach.end(), std::make_move_iterator(rows->begin()),
+                 std::make_move_iterator(rows->end()));
+  }
+  if (seeds.size() > 1) {
+    std::sort(reach.begin(), reach.end());
+    reach.erase(std::unique(reach.begin(), reach.end()), reach.end());
+  }
+  return reach;
+}
+
+}  // namespace
+
+void Session::MarkReach(const FactIndex* index,
+                        const std::vector<BlockKey>& blocks,
+                        std::vector<std::shared_ptr<const RowSet>>* retired) {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  // The delta holds every reader off while this runs, so one call
+  // enumerates at most as many rows as the database holds — about one
+  // pass over the data, however many entries a hub block reaches. The
+  // entries served most recently spend it first; past it, an entry is
+  // erased.
+  size_t budget = static_cast<size_t>(db_.size());
+  for (auto pos = lru_.begin(); pos != lru_.end();) {
+    auto it = answers_.find(*pos);
+    CacheEntry& entry = it->second;
+    // A full recompute enumerates and decides the entry's possible
+    // rows; re-deciding more rows than that saves nothing, so that is
+    // where the entry is given up (one row at least: a single seeded
+    // enumeration is cheaper than the unseeded one).
+    size_t bound = std::max<size_t>(entry.possible, 1);
+    size_t max_rows = std::min(bound, budget);
+    std::optional<RowSet> reach;
+    if (index != nullptr) {
+      reach =
+          ReachedRows(*index, entry.query, entry.free_vars, blocks, max_rows);
+    }
+    budget -= reach.has_value() ? reach->size() : max_rows;
+    bool keep = reach.has_value();
+    if (keep && !reach->empty()) {
+      RowSet dirty;
+      if (entry.dirty == nullptr) {
+        dirty = *std::move(reach);
+      } else {
+        std::set_union(entry.dirty->begin(), entry.dirty->end(),
+                       reach->begin(), reach->end(),
+                       std::back_inserter(dirty));
+      }
+      keep = !entry.free_vars.empty() && dirty.size() <= bound;
+      if (keep) entry.dirty = std::make_shared<const RowSet>(std::move(dirty));
+    }
+    if (keep) {
+      ++pos;
+    } else {
+      retired->push_back(std::move(entry.rows));
+      retired->push_back(std::move(entry.dirty));
+      answers_.erase(it);
+      pos = lru_.erase(pos);
+    }
+  }
 }
 
 // ----------------------------------------------------------- serving
@@ -559,7 +678,7 @@ Result<std::shared_ptr<AnswerCursor>> Session::OpenAnswerCursor(
 Result<Session::RowSet> Session::ComputeCertainFull(
     EvalContext& ctx, const Query& q,
     const std::vector<SymbolId>& free_vars, const QueryPlan& plan,
-    const Deadline& deadline) {
+    const Deadline& deadline, size_t* possible) {
   if (options_.backend != nullptr) {
     // Pushdown: one SQL statement computes the whole contract of this
     // function (candidates filtered by the rewriting, sorted; for
@@ -568,10 +687,14 @@ Result<Session::RowSet> Session::ComputeCertainFull(
     Result<std::optional<RowSet>> pushed =
         options_.backend->CertainAnswerSet(plan, deadline);
     if (!pushed.ok()) return pushed.status();
-    if (pushed->has_value()) return *std::move(*pushed);
+    if (pushed->has_value()) {
+      *possible = (*pushed)->size();
+      return *std::move(*pushed);
+    }
   }
   RowSet candidates = CollectProjectionsSorted(ctx.fact_index(), q,
                                                Valuation(), free_vars);
+  *possible = candidates.size();
   if (deadline.Expired()) {
     return Status::DeadlineExceeded(
         "deadline expired after candidate enumeration");
@@ -603,65 +726,6 @@ Result<Session::RowSet> Session::ComputeCertainFull(
   return out;
 }
 
-std::optional<std::vector<Session::DirtyPattern>>
-Session::DirtyPatternsSince(uint64_t from_epoch,
-                            const QueryPlan& plan) const {
-  // Reads delta_log_ under the shared epoch lock held by the caller
-  // (the log only mutates under the exclusive lock).
-  uint64_t now = epoch_.load(std::memory_order_relaxed);
-  if (from_epoch == now) return std::vector<DirtyPattern>{};
-  if (delta_log_.empty() || delta_log_.front().epoch > from_epoch + 1) {
-    return std::nullopt;  // The log no longer covers the entry's epoch.
-  }
-  std::vector<DirtyPattern> out;
-  for (const DeltaRecord& record : delta_log_) {
-    if (record.epoch <= from_epoch) continue;
-    for (const auto& [relation, key] : record.blocks) {
-      for (const AtomKeyPattern& pattern : plan.key_patterns()) {
-        if (pattern.relation != relation ||
-            pattern.key.size() != key.size()) {
-          continue;
-        }
-        DirtyPattern dirty;
-        bool matches = true;
-        for (size_t i = 0; i < key.size() && matches; ++i) {
-          const AtomKeyPattern::Slot& slot = pattern.key[i];
-          switch (slot.kind) {
-            case AtomKeyPattern::Slot::Kind::kConstant:
-              matches = slot.constant == key[i];
-              break;
-            case AtomKeyPattern::Slot::Kind::kParam: {
-              bool bound = false;
-              for (const auto& [param, value] : dirty.bindings) {
-                if (param == slot.param) {
-                  bound = true;
-                  matches = value == key[i];
-                }
-              }
-              if (!bound) dirty.bindings.emplace_back(slot.param, key[i]);
-              break;
-            }
-            case AtomKeyPattern::Slot::Kind::kWildcard:
-              break;
-          }
-        }
-        if (!matches) continue;
-        if (dirty.bindings.empty()) {
-          // The block reaches every answer row (no key position pins a
-          // parameter): the whole entry is dirty.
-          return std::nullopt;
-        }
-        std::sort(dirty.bindings.begin(), dirty.bindings.end());
-        out.push_back(std::move(dirty));
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  if (out.size() > options_.max_dirty_patterns) return std::nullopt;
-  return out;
-}
-
 Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
     EvalContext& ctx, const std::shared_ptr<const QueryPlan>& plan,
     const Query& q, const std::vector<SymbolId>& free_vars,
@@ -677,110 +741,91 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
   const std::string& key = plan->cache_key();
   uint64_t now = epoch_.load(std::memory_order_relaxed);
 
-  // The snapshot is shared with the cache entry — no row copy on this
-  // read, nor on the cache-hit return below.
-  std::optional<std::pair<uint64_t, std::shared_ptr<const RowSet>>> cached;
+  // The snapshot and the dirty set are shared with the cache entry — no
+  // row copy on this read, nor on the cache-hit return below.
+  struct Cached {
+    uint64_t epoch;
+    std::shared_ptr<const RowSet> rows;
+    std::shared_ptr<const RowSet> dirty;
+    size_t possible;
+  };
+  std::optional<Cached> cached;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = answers_.find(key);
     if (it != answers_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
-      cached.emplace(it->second.epoch, it->second.rows);
+      cached = Cached{it->second.epoch, it->second.rows, it->second.dirty,
+                      it->second.possible};
     }
   }
-  if (cached.has_value() && cached->first == now) {
+  if (cached.has_value() && cached->epoch == now) {
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.answers_cached;
-    return cached->second;
+    return cached->rows;
   }
 
   std::shared_ptr<const RowSet> snapshot;
-  bool incremental = false;
-  if (cached.has_value() && !free_vars.empty()) {
-    std::optional<std::vector<DirtyPattern>> patterns =
-        DirtyPatternsSince(cached->first, *plan);
-    if (patterns.has_value()) {
-      incremental = true;
-      auto matches_any = [&](const std::vector<SymbolId>& row) {
-        for (const DirtyPattern& pattern : *patterns) {
-          bool all = true;
-          for (const auto& [param, value] : pattern.bindings) {
-            all = all && row[param] == value;
-          }
-          if (all) return true;
-        }
-        return false;
-      };
-      // Rows out of every changed block's reach keep their status
-      // (filtering the sorted snapshot keeps them sorted).
-      RowSet keep;
-      for (const std::vector<SymbolId>& row : *cached->second) {
-        if (!matches_any(row)) keep.push_back(row);
+  size_t possible = 0;
+  if (cached.has_value() && cached->dirty == nullptr) {
+    // No delta since the entry's epoch reached any of its rows.
+    snapshot = cached->rows;
+    possible = cached->possible;
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    ++stats_.answers_incremental;
+    stats_.rows_reused += snapshot->size();
+  } else if (cached.has_value()) {
+    // Only dirty rows can have changed status (Lemma 1; see MarkReach).
+    // Boolean entries never get here: any reach erases them.
+    const RowSet& dirty = *cached->dirty;
+    RowSet keep;
+    std::set_difference(cached->rows->begin(), cached->rows->end(),
+                        dirty.begin(), dirty.end(), std::back_inserter(keep));
+    // A certain answer is a possible one: a dirty row no embedding
+    // produces any more is dropped without a decision.
+    RowSet candidates;
+    for (const std::vector<SymbolId>& row : dirty) {
+      Valuation binding;
+      bool consistent = true;
+      for (size_t i = 0; i < free_vars.size() && consistent; ++i) {
+        consistent = binding.Bind(free_vars[i], row[i]);
       }
-      uint64_t reused = keep.size();
-      // Dirty candidates: the possible rows matching a pattern, found
-      // by seeding the enumerator with the pattern's key values (dropped
-      // cached rows that are no longer possible never re-enter). Two
-      // patterns may reach the same row.
-      RowSet candidates;
-      for (const DirtyPattern& pattern : *patterns) {
-        Valuation initial;
-        for (const auto& [param, value] : pattern.bindings) {
-          initial.Bind(free_vars[param], value);
-        }
-        RowSet rows = CollectProjectionsSorted(ctx.fact_index(), q, initial,
-                                               free_vars);
-        candidates.insert(candidates.end(),
-                          std::make_move_iterator(rows.begin()),
-                          std::make_move_iterator(rows.end()));
-      }
-      if (patterns->size() > 1) {
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-      }
-      // One batched execution re-decides every dirty row, partitioned
-      // across the pool when the dirty set is large enough.
-      Result<std::vector<char>> certain =
-          DecideRows(ctx, *plan, candidates, deadline);
-      if (!certain.ok()) return certain.status();
-      RowSet certain_rows;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if ((*certain)[i]) certain_rows.push_back(std::move(candidates[i]));
-      }
-      // Both runs are sorted; a row in both keeps one copy, as a set
-      // union would.
-      RowSet rows;
-      rows.reserve(keep.size() + certain_rows.size());
-      std::set_union(std::make_move_iterator(keep.begin()),
-                     std::make_move_iterator(keep.end()),
-                     std::make_move_iterator(certain_rows.begin()),
-                     std::make_move_iterator(certain_rows.end()),
-                     std::back_inserter(rows));
-      snapshot = std::make_shared<const RowSet>(std::move(rows));
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.answers_incremental;
-        stats_.rows_reused += reused;
-        stats_.rows_decided += candidates.size();
+      if (consistent && SatisfiesWith(ctx.fact_index(), q, binding)) {
+        candidates.push_back(row);
       }
     }
-  } else if (cached.has_value() && free_vars.empty()) {
-    // Boolean entries: clean iff no changed block matches any pattern
-    // (patterns without parameters always force a full recompute, so a
-    // non-null result here is necessarily empty).
-    std::optional<std::vector<DirtyPattern>> patterns =
-        DirtyPatternsSince(cached->first, *plan);
-    if (patterns.has_value() && patterns->empty()) {
-      incremental = true;
-      snapshot = cached->second;
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
-      ++stats_.answers_incremental;
+    // One batched execution re-decides every dirty row, partitioned
+    // across the pool when the dirty set is large enough.
+    Result<std::vector<char>> certain =
+        DecideRows(ctx, *plan, candidates, deadline);
+    if (!certain.ok()) return certain.status();
+    RowSet certain_rows;
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if ((*certain)[i]) certain_rows.push_back(std::move(candidates[i]));
     }
-  }
-
-  if (!incremental) {
-    Result<RowSet> full = ComputeCertainFull(ctx, q, free_vars, *plan, deadline);
+    // Both runs are sorted and disjoint (keep excludes every dirty row).
+    RowSet rows;
+    rows.reserve(keep.size() + certain_rows.size());
+    std::set_union(std::make_move_iterator(keep.begin()),
+                   std::make_move_iterator(keep.end()),
+                   std::make_move_iterator(certain_rows.begin()),
+                   std::make_move_iterator(certain_rows.end()),
+                   std::back_inserter(rows));
+    snapshot = std::make_shared<const RowSet>(std::move(rows));
+    // A row no delta reached kept its possibility, so the possible rows
+    // outside `dirty` number at least the kept certain ones and at least
+    // the old count minus every dirty row.
+    possible = std::max(keep.size(),
+                        cached->possible -
+                            std::min(cached->possible, dirty.size())) +
+               candidates.size();
+    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    ++stats_.answers_incremental;
+    stats_.rows_reused += keep.size();
+    stats_.rows_decided += candidates.size();
+  } else {
+    Result<RowSet> full =
+        ComputeCertainFull(ctx, q, free_vars, *plan, deadline, &possible);
     if (!full.ok()) return full.status();
     snapshot = std::make_shared<const RowSet>(*std::move(full));
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
@@ -797,6 +842,8 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
       if (it->second.epoch <= now) {
         it->second.epoch = now;
         it->second.rows = snapshot;
+        it->second.dirty.reset();
+        it->second.possible = possible;
       }
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     } else {
@@ -804,6 +851,9 @@ Result<std::shared_ptr<const Session::RowSet>> Session::ServeCertain(
       CacheEntry entry;
       entry.epoch = now;
       entry.rows = snapshot;
+      entry.possible = possible;
+      entry.query = q;
+      entry.free_vars = free_vars;
       entry.lru_pos = lru_.begin();
       answers_.emplace(key, std::move(entry));
       while (answers_.size() > options_.answer_cache_capacity) {

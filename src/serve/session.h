@@ -3,11 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -49,17 +47,33 @@
 ///     so every solve reads one consistent snapshot and no index is
 ///     ever patched mid-search;
 ///   * certain-answer results are cached per session and invalidated
-///     *per answer row* by matching the delta's changed blocks against
-///     the compiled plan's key patterns (`AtomKeyPattern`): after a
-///     delta, only rows whose key patterns the changed blocks can reach
-///     are re-decided — in ONE set-at-a-time execution of the plan's
-///     compiled FO program (`QueryPlan::IsCertainRows`), not one
-///     interpreter descent per dirty row — and the candidate scan for
-///     those rows is seeded with the touched key values so the matcher's
-///     key-prefix buckets prune the enumeration. Rows out of every
-///     changed block's reach are served straight from the cache — which
-///     is what makes a small delta over a large database cheap to
-///     re-serve;
+///     *per answer row* by reach. Lemma 1 (purification, db/purify.h):
+///     a block holding a fact that lies in no embedding of q(ā) can be
+///     deleted without changing whether ā is certain. So when a delta
+///     changes the blocks C and no fact of C lies in an embedding of
+///     q(ā) in the old database nor in the new one, removing C block by
+///     block gives certain(old) = certain(old∖C) = certain(new∖C) =
+///     certain(new). `ApplyDelta` therefore computes, for every cached
+///     entry, the rows the changed blocks *reach*: the candidate
+///     enumeration seeded with each block's key at every atom over its
+///     relation, run on a live worker index once before and once after
+///     the mutation. The union over deltas is the entry's `dirty` set;
+///     the next serve keeps `cached ∖ dirty` verbatim and re-decides
+///     only the dirty rows that are still possible — in ONE
+///     set-at-a-time execution of the plan's compiled FO program
+///     (`QueryPlan::IsCertainRows`). The bounds are read off the data,
+///     not set by options: a Boolean entry with any reach, and an entry
+///     whose reach (or whose count of changed blocks seeding one of its
+///     atoms) outgrows its count of possible rows (what a full
+///     recompute would enumerate and decide), is erased and recomputed
+///     in full on its next serve; so is every entry past the first
+///     |database| rows of reach one enumeration pass produces (most
+///     recently served entries first), which keeps a delta into a hub
+///     block from stalling readers for one pass per cached entry; with
+///     no worker index built (nothing to enumerate on, and a delta
+///     never builds one) every entry is erased. This is what makes a small delta over a large database
+///     cheap to re-serve, whichever positions of the query the changed
+///     key pins;
 ///   * answers are returned as shared, immutable row-set snapshots
 ///     (copy-on-write): a cache hit hands back the cached
 ///     `shared_ptr` instead of copying every row per serve, and a
@@ -136,12 +150,6 @@ class Session {
     int num_threads = 0;
     /// Certain-answer cache entries kept (per canonical query).
     size_t answer_cache_capacity = 256;
-    /// Deltas remembered for incremental invalidation; an answer-cache
-    /// entry staler than this many epochs is recomputed in full.
-    size_t delta_log_window = 64;
-    /// Dirty key patterns tolerated per (entry, delta-range) before the
-    /// incremental path gives up and recomputes in full.
-    size_t max_dirty_patterns = 32;
     /// Minimum candidate rows in one decision batch before it is
     /// partitioned across the pool; smaller batches run on the calling
     /// worker (chunk dispatch overhead would dominate). 0 disables row
@@ -283,35 +291,29 @@ class Session {
   int num_threads() const { return pool_->size(); }
 
  private:
+  /// One changed block of a delta: (relation, key values).
+  using BlockKey = std::pair<SymbolId, std::vector<SymbolId>>;
+
   /// One cached certain-answer result, keyed (in answers_) by the
-  /// plan's canonical key — α-variant requests share the entry. The
-  /// serve path re-resolves query and plan from the caller each call,
-  /// so the entry carries only what invalidation needs.
+  /// plan's canonical key — α-variant requests share the entry (their
+  /// rows align positionally with the parameters).
   struct CacheEntry {
     uint64_t epoch = 0;
     /// Immutable shared snapshot; replaced wholesale on refresh, never
     /// mutated, so callers holding the pointer are unaffected.
     std::shared_ptr<const RowSet> rows;
+    /// The rows the deltas since `epoch` reached (sorted, distinct;
+    /// null when none did). Only rows in it can have changed status.
+    std::shared_ptr<const RowSet> dirty;
+    /// How many rows were possible at `epoch` (for a result the backend
+    /// pushed down, which reports certain rows only, a lower bound):
+    /// the rows a full recompute would enumerate and decide.
+    size_t possible = 0;
+    /// The query and free variables the rows answer: what a delta's
+    /// reach is enumerated over.
+    Query query;
+    std::vector<SymbolId> free_vars;
     std::list<std::string>::iterator lru_pos;
-  };
-
-  /// One applied delta: the blocks it touched, at the epoch it created.
-  struct DeltaRecord {
-    uint64_t epoch = 0;
-    /// Deduped (relation, key) pairs.
-    std::vector<std::pair<SymbolId, std::vector<SymbolId>>> blocks;
-  };
-
-  /// A conjunctive constraint on answer rows: row[param] == value for
-  /// every binding. Rows matching any dirty pattern are re-decided.
-  struct DirtyPattern {
-    std::vector<std::pair<int, SymbolId>> bindings;
-    bool operator<(const DirtyPattern& o) const {
-      return bindings < o.bindings;
-    }
-    bool operator==(const DirtyPattern& o) const {
-      return bindings == o.bindings;
-    }
   };
 
   /// Runs `serve(ctx, index)` for index in [0, n) over the persistent
@@ -350,16 +352,24 @@ class Session {
       const Deadline& deadline = Deadline());
 
   /// Full candidate enumeration + one batched (set-at-a-time) decision.
+  /// `*possible` gets the number of candidate rows (see
+  /// CacheEntry::possible).
   Result<RowSet> ComputeCertainFull(EvalContext& ctx, const Query& q,
                                     const std::vector<SymbolId>& free_vars,
                                     const QueryPlan& plan,
-                                    const Deadline& deadline);
+                                    const Deadline& deadline,
+                                    size_t* possible);
 
-  /// The dirty patterns accumulated since `from_epoch` for this plan,
-  /// or nullopt when incremental serving is not possible (log gap, an
-  /// unconstrained pattern match, or too many patterns).
-  std::optional<std::vector<DirtyPattern>> DirtyPatternsSince(
-      uint64_t from_epoch, const QueryPlan& plan) const;
+  /// Adds to every cached entry's dirty set the rows `blocks` reach
+  /// through `index` (the enumeration behind the reach argument in the
+  /// class comment), and erases the entries the data-derived bounds
+  /// give up on — all of them when `index` is null. Runs under the
+  /// exclusive epoch gate, once before and once after a delta mutates,
+  /// and enumerates at most the database's row count per call, most
+  /// recently served entries first. The erased entries' snapshots go to
+  /// `retired`, for the caller to free once the gate is released.
+  void MarkReach(const FactIndex* index, const std::vector<BlockKey>& blocks,
+                 std::vector<std::shared_ptr<const RowSet>>* retired);
 
   /// Applies one validated primitive action and patches live indexes.
   void ApplyAdd(const Fact& fact);
@@ -386,10 +396,6 @@ class Session {
 
   /// Per-worker contexts, index-aligned with the pool's workers.
   std::vector<std::unique_ptr<EvalContext>> workers_;
-
-  /// Applied-delta history, newest at the back, trimmed to
-  /// options_.delta_log_window.
-  std::deque<DeltaRecord> delta_log_;
 
   /// Certain-answer cache, keyed by the plan's canonical key.
   mutable std::mutex cache_mu_;

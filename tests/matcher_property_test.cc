@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -62,7 +64,8 @@ std::string VarList(const std::vector<SymbolId>& vars) {
 }
 
 /// Counts the enumerator's disagreements with the oracle (and reports
-/// each one).
+/// each one). The row-capped variant must give up below the oracle's
+/// row count and, when it does not give up, return the oracle's rows.
 int ProjectionDisagreements(const FactIndex& index, const Query& q,
                             const Valuation& initial,
                             const std::vector<SymbolId>& vars,
@@ -72,7 +75,21 @@ int ProjectionDisagreements(const FactIndex& index, const Query& q,
   EXPECT_EQ(got, want) << context << "\nquery: " << q.ToString()
                        << "\nvars: " << VarList(vars)
                        << "\nseed: " << initial.ToString();
-  return got == want ? 0 : 1;
+  bool capped_ok = true;
+  if (!want.empty()) {
+    capped_ok = !CollectProjectionsSortedUpTo(index, q, initial, vars,
+                                              want.size() - 1)
+                     .has_value();
+  }
+  std::optional<Rows> at_count =
+      CollectProjectionsSortedUpTo(index, q, initial, vars, want.size());
+  capped_ok = capped_ok && (!at_count.has_value() || *at_count == want);
+  std::optional<Rows> uncapped = CollectProjectionsSortedUpTo(
+      index, q, initial, vars, std::numeric_limits<size_t>::max());
+  capped_ok = capped_ok && uncapped.has_value() && *uncapped == want;
+  EXPECT_TRUE(capped_ok) << context << "\nquery: " << q.ToString()
+                         << "\nvars: " << VarList(vars);
+  return got == want && capped_ok ? 0 : 1;
 }
 
 /// The enumerator against its oracle on one (index, query) pair:
@@ -456,6 +473,46 @@ TEST(FactIndexTest, MutationBeforeFirstProbeIsSeenByLazyBuild) {
   EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("y")).size(), 0u);
   EXPECT_EQ(index.FactsAt(r, 1, InternSymbol("x")).size(), 2u);
   EXPECT_EQ(index.FactsWithKeyPrefix(r, {InternSymbol("a")}).size(), 1u);
+}
+
+TEST(FactIndexTest, RemoveErasesTheBucketsItEmpties) {
+  Database db = SmallDb();
+  FactIndex index(db);
+  SymbolId r = InternSymbol("R");
+  SymbolId a = InternSymbol("a");
+  SymbolId y = InternSymbol("y");
+  const Fact* ax = &db.facts()[0];  // R(a | x)
+  const Fact* ay = &db.facts()[1];  // R(a | y)
+  ASSERT_EQ(index.FactsAt(r, 1, y).size(), 1u);
+  ASSERT_EQ(index.FactsWithKeyPrefix(r, {a}).size(), 2u);
+  const FactIndex::PositionBuckets* by_value = index.PositionIndex(r, 1);
+  const FactIndex::PrefixBuckets* by_key = index.KeyPrefixIndex(r, 1);
+  ASSERT_NE(by_value, nullptr);
+  ASSERT_NE(by_key, nullptr);
+
+  // A backtracking walk asks to keep the buckets it will come back to;
+  // a repair transition is a removal too and follows the same choice.
+  SymbolId z = InternSymbol("z");
+  Fact az = Fact::Make("R", {"a", "z"}, 1);
+  index.SwapFact(ay, &az, FactIndex::EmptiedBuckets::kKeep);
+  EXPECT_EQ(by_value->count(y), 1u);
+  EXPECT_TRUE(index.FactsAt(r, 1, y).empty());
+  EXPECT_EQ(index.FactsAt(r, 1, z).size(), 1u);
+  index.SwapFact(&az, ay);
+  EXPECT_EQ(by_value->count(z), 0u);
+  EXPECT_EQ(index.FactsAt(r, 1, y).size(), 1u);
+
+  // Emptying a bucket erases it: the index stays the size of its
+  // contents.
+  index.Remove(ay);
+  EXPECT_EQ(by_value->count(y), 0u);
+  EXPECT_EQ(by_key->count({a}), 1u);  // R(a | x) is still there
+  index.Remove(ax);
+  EXPECT_EQ(by_key->count({a}), 0u);
+  EXPECT_TRUE(index.FactsWithKeyPrefix(r, {a}).empty());
+  index.Add(ay);
+  EXPECT_EQ(index.FactsAt(r, 1, y).size(), 1u);
+  EXPECT_EQ(index.FactsWithKeyPrefix(r, {a}).size(), 1u);
 }
 
 TEST(FactIndexTest, RemoveOfStrangerIsNoOp) {

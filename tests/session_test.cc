@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -312,6 +313,224 @@ TEST(SessionTest, BooleanAnswersUseRelationLevelInvalidation) {
   EXPECT_GE(session.stats().answers_full, 2u);
 }
 
+/// The path query's S key (y) pins no free variable, yet a flip of one
+/// S block reaches only the R rows pointing at it: exactly those are
+/// re-decided, the rest are served from the cache.
+TEST(SessionTest, NonKeyBlockFlipReDecidesOnlyTheReachedRows) {
+  Database db;
+  for (int i = 0; i < 12; ++i) {
+    std::string a = "a" + std::to_string(i);
+    std::string b = "b" + std::to_string(i % 4);
+    ASSERT_TRUE(db.AddFact(F("R", {a, b}, 1)).ok());
+  }
+  for (int j = 0; j < 4; ++j) {
+    ASSERT_TRUE(db.AddFact(F("S", {"b" + std::to_string(j), "c"}, 1)).ok());
+  }
+  Session::Options options;
+  options.num_threads = 2;
+  Session session(db, options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+
+  Result<Rows> first = Serve(session, q, fv);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_EQ(first->size(), 12u);
+  Session::Stats base = session.stats();
+  ASSERT_EQ(base.answers_full, 1u);
+
+  // S(b0) is reached from a0, a4 and a8 (before and after the flip).
+  Delta flip;
+  flip.ReplaceBlock(InternSymbol("S"), {InternSymbol("b0")},
+                    {F("S", {"b0", "d"}, 1)});
+  ASSERT_TRUE(session.ApplyDelta(flip).ok());
+  Result<Rows> flipped = Serve(session, q, fv);
+  ASSERT_TRUE(flipped.ok());
+  EXPECT_EQ(*flipped, *first);
+  Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full);
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental + 1);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 3u);
+  EXPECT_EQ(stats.rows_reused - base.rows_reused, 9u);
+
+  // Deleting S(b1) reaches a1, a5 and a9 before the delta and nothing
+  // after it: they leave the answer without a decision (no longer
+  // possible).
+  base = stats;
+  Delta drop;
+  drop.ReplaceBlock(InternSymbol("S"), {InternSymbol("b1")}, {});
+  ASSERT_TRUE(session.ApplyDelta(drop).ok());
+  Result<Rows> dropped = Serve(session, q, fv);
+  ASSERT_TRUE(dropped.ok());
+  EXPECT_EQ(dropped->size(), 9u);
+  stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 0u);
+  EXPECT_EQ(stats.rows_reused - base.rows_reused, 9u);
+
+  Result<Rows> expected = testutil::CertainAnswers(session.db(), q, fv);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*dropped, *expected);
+}
+
+/// An entry whose rows are all possible but none certain is still
+/// re-served incrementally: the give-up bound is what a full recompute
+/// would decide (the possible rows), not the cached certain rows.
+TEST(SessionTest, UncertainRowsKeepTheEntryIncremental) {
+  Database db;
+  // Every a_i has a second fact leaving R(a_i | b): possible, uncertain.
+  for (int i = 0; i < 6; ++i) {
+    std::string a = "a" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(F("R", {a, "b"}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F("R", {a, "c"}, 1)).ok());
+  }
+  Session::Options options;
+  options.num_threads = 2;
+  Session session(db, options);
+  Query q = MustParseQuery("R(x | 'b')");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+
+  Result<Rows> first = Serve(session, q, fv);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(first->empty());
+  Session::Stats base = session.stats();
+  ASSERT_EQ(base.answers_full, 1u);
+
+  // A third fact in a0's block reaches a0 only: still uncertain.
+  Delta grow;
+  grow.Insert(F("R", {"a0", "d"}, 1));
+  ASSERT_TRUE(session.ApplyDelta(grow).ok());
+  Result<Rows> grown = Serve(session, q, fv);
+  ASSERT_TRUE(grown.ok());
+  EXPECT_TRUE(grown->empty());
+  Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full);
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental + 1);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 1u);
+
+  // Dropping a1's dangling fact makes a1 certain.
+  base = stats;
+  Delta settle;
+  settle.Remove(F("R", {"a1", "c"}, 1));
+  ASSERT_TRUE(session.ApplyDelta(settle).ok());
+  Result<Rows> settled = Serve(session, q, fv);
+  ASSERT_TRUE(settled.ok());
+  EXPECT_EQ(*settled, (Rows{{InternSymbol("a1")}}));
+  stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full);
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental + 1);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 1u);
+
+  Result<Rows> expected = testutil::CertainAnswers(session.db(), q, fv);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*settled, *expected);
+}
+
+/// A delta whose reach outgrows the entry's possible rows erases it:
+/// re-deciding more rows than a full recompute decides saves nothing.
+TEST(SessionTest, ReachBeyondThePossibleRowsErasesTheEntry) {
+  Database db;
+  // u0..u4 and k are possible; only k is certain (each u_i has a
+  // second fact that dangles).
+  for (int i = 0; i < 5; ++i) {
+    std::string u = "u" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(F("R", {u, "b"}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F("R", {u, "nowhere" + std::to_string(i)}, 1)).ok());
+  }
+  ASSERT_TRUE(db.AddFact(F("S", {"b", "c"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("R", {"k", "b2"}, 1)).ok());
+  ASSERT_TRUE(db.AddFact(F("S", {"b2", "c"}, 1)).ok());
+  // v0..v6 point at S(b3), which is not there yet: not possible.
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(db.AddFact(F("R", {"v" + std::to_string(i), "b3"}, 1)).ok());
+  }
+  Session::Options options;
+  options.num_threads = 2;
+  Session session(db, options);
+  Query q = MustParseQuery("R(x | y), S(y | z)");
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+
+  Result<Rows> first = Serve(session, q, fv);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->size(), 1u);
+  Session::Stats base = session.stats();
+
+  // Flipping S(b) reaches the five u_i: within the six possible rows.
+  Delta flip;
+  flip.ReplaceBlock(InternSymbol("S"), {InternSymbol("b")},
+                    {F("S", {"b", "d"}, 1)});
+  ASSERT_TRUE(session.ApplyDelta(flip).ok());
+  Result<Rows> flipped = Serve(session, q, fv);
+  ASSERT_TRUE(flipped.ok());
+  EXPECT_EQ(*flipped, *first);
+  Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full);
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental + 1);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 5u);
+
+  // Creating S(b3) reaches the seven v_i, more than the six possible.
+  base = stats;
+  Delta create;
+  create.Insert(F("S", {"b3", "c"}, 1));
+  ASSERT_TRUE(session.ApplyDelta(create).ok());
+  Result<Rows> created = Serve(session, q, fv);
+  ASSERT_TRUE(created.ok());
+  EXPECT_EQ(created->size(), 8u);
+  stats = session.stats();
+  EXPECT_EQ(stats.answers_full, base.answers_full + 1);
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental);
+
+  Result<Rows> expected = testutil::CertainAnswers(session.db(), q, fv);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(*created, *expected);
+}
+
+/// One enumeration pass of a delta produces at most |database| reach
+/// rows, spent on the most recently served entries first: a delta into
+/// a hub block that every row of several entries joins through keeps
+/// the first of them incremental and erases the rest.
+TEST(SessionTest, HubDeltaReachIsCappedByTheDatabaseSize) {
+  Database db;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db.AddFact(F("R", {"a" + std::to_string(i), "h"}, 1)).ok());
+  }
+  ASSERT_TRUE(db.AddFact(F("S", {"h", "c"}, 1)).ok());
+  std::vector<Query> queries;
+  for (int k = 0; k < 3; ++k) {
+    std::string w = "W" + std::to_string(k);
+    ASSERT_TRUE(db.AddFact(F(w, {"c", "d"}, 1)).ok());
+    ASSERT_TRUE(db.AddFact(F(w, {"c2", "d"}, 1)).ok());
+    queries.push_back(MustParseQuery("R(x | y), S(y | z), " + w + "(z | w)"));
+  }
+  ASSERT_EQ(db.size(), 27);
+  Session::Options options;
+  options.num_threads = 2;
+  Session session(db, options);
+  std::vector<SymbolId> fv = {InternSymbol("x")};
+  for (const Query& q : queries) {  // W2's entry is served last
+    Result<Rows> rows = Serve(session, q, fv);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    ASSERT_EQ(rows->size(), 20u);
+  }
+  Session::Stats base = session.stats();
+
+  // S(h) reaches all 20 rows of every entry: 60 rows, 27 facts.
+  Delta flip;
+  flip.ReplaceBlock(InternSymbol("S"), {InternSymbol("h")},
+                    {F("S", {"h", "c2"}, 1)});
+  ASSERT_TRUE(session.ApplyDelta(flip).ok());
+  for (const Query& q : queries) {
+    Result<Rows> rows = Serve(session, q, fv);
+    ASSERT_TRUE(rows.ok());
+    Result<Rows> expected = testutil::CertainAnswers(session.db(), q, fv);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(*rows, *expected);
+  }
+  Session::Stats stats = session.stats();
+  EXPECT_EQ(stats.answers_incremental, base.answers_incremental + 1);
+  EXPECT_EQ(stats.answers_full, base.answers_full + 2);
+  EXPECT_EQ(stats.rows_decided - base.rows_decided, 20u + 2 * 20u);
+}
+
 // --------------------------------------------- randomized differential
 
 /// Random facts compatible with q's schema, the delta fodder.
@@ -427,6 +646,184 @@ TEST(SessionTest, RandomDeltaSequencesMatchFreshEngine) {
     }
   }
   EXPECT_GE(triples, 200);
+}
+
+/// One cached query of a delta-window session.
+struct WindowQuery {
+  Query q;
+  std::vector<SymbolId> fv;
+};
+
+/// Facts over the window schema R(k | v), S(k | v), T(k1, k2 | v) with
+/// values drawn from a small domain, so blocks join densely.
+Fact WindowFact(Rng* rng, SymbolId relation, std::vector<SymbolId> key) {
+  std::vector<SymbolId> values = std::move(key);
+  int key_arity = static_cast<int>(values.size());
+  values.push_back(InternSymbol("c" + std::to_string(rng->Below(4))));
+  return Fact(relation, std::move(values), key_arity);
+}
+
+std::vector<SymbolId> WindowKey(Rng* rng, SymbolId relation) {
+  std::vector<SymbolId> key = {
+      InternSymbol("c" + std::to_string(rng->Below(4)))};
+  if (relation == InternSymbol("T")) {
+    key.push_back(InternSymbol("c" + std::to_string(rng->Below(4))));
+  }
+  return key;
+}
+
+SymbolId WindowRelation(Rng* rng) {
+  static const char* const kRelations[] = {"R", "S", "T"};
+  return InternSymbol(kRelations[rng->Below(3)]);
+}
+
+/// A multi-op delta over the window schema: inserts, removes, block
+/// replacements and whole-block deletions, each op on a block no earlier
+/// op of the delta touched (so the delta always validates).
+Delta WindowDelta(const Database& db, Rng* rng) {
+  Delta delta;
+  std::set<std::pair<SymbolId, std::vector<SymbolId>>> touched;
+  int ops = static_cast<int>(rng->Range(2, 4));
+  for (int i = 0; i < ops; ++i) {
+    SymbolId relation = WindowRelation(rng);
+    std::vector<SymbolId> key = WindowKey(rng, relation);
+    if (!touched.insert({relation, key}).second) continue;
+    const Database::Block* block = db.FindBlock(relation, key);
+    switch (rng->Below(4)) {
+      case 0:
+        delta.Insert(WindowFact(rng, relation, key));
+        break;
+      case 1:
+        if (block != nullptr) {
+          delta.Remove(db.facts()[block->fact_ids[rng->Below(
+              block->fact_ids.size())]]);
+        }
+        break;
+      case 2:
+        delta.ReplaceBlock(relation, key, {});  // whole-block deletion
+        break;
+      default: {
+        std::vector<Fact> facts;
+        int size = static_cast<int>(rng->Range(1, 2));
+        for (int f = 0; f < size; ++f) {
+          facts.push_back(WindowFact(rng, relation, key));
+        }
+        delta.ReplaceBlock(relation, key, std::move(facts));
+        break;
+      }
+    }
+  }
+  return delta;
+}
+
+/// Entries that stay stale across several deltas accumulate the reach
+/// of each: every session caches a query with constants, one whose
+/// free variable sits only in a non-key position, one with two free
+/// variables and (mostly) a Boolean one, applies multi-op deltas and
+/// serves a random subset only every 1-5 deltas. Every served answer
+/// must equal a fresh engine's on the materialized database, and a
+/// serve decides only rows that are possible at its epoch.
+TEST(SessionTest, DeltaWindowsMatchFreshEngine) {
+  const std::vector<std::pair<const char*, std::vector<const char*>>>
+      kWithConstants = {{"R(x | y), S(y | 'c1')", {"x"}},
+                        {"R('c0' | y), S(y | z)", {"z"}},
+                        {"T(x, 'c2' | w), S(w | z)", {"x"}}};
+  const std::vector<std::pair<const char*, std::vector<const char*>>>
+      kNonKeyFree = {{"R(x | y), S(y | z)", {"z"}},
+                     {"S(y | z), T(z, u | w)", {"w"}},
+                     {"R(x | y), T(y, z | w)", {"w"}}};
+  const std::vector<std::pair<const char*, std::vector<const char*>>>
+      kTwoFree = {{"R(x | y), S(y | z)", {"x", "z"}},
+                  {"R(x | y), T(y, z | w)", {"x", "w"}},
+                  {"R(x | y), S(y | x)", {"x", "y"}},
+                  {"R(x | y), S(y | z)", {"x", "x"}}};
+  const std::vector<std::pair<const char*, std::vector<const char*>>>
+      kBoolean = {{"R(x | y), S(y | z)", {}},
+                  {"R(x | y), T(y, z | w)", {}},
+                  {"S(y | 'c1'), R(x | y)", {}}};
+  auto pick = [](const auto& family, Rng* rng) {
+    const auto& [text, vars] = family[rng->Below(family.size())];
+    WindowQuery out{MustParseQuery(text), {}};
+    for (const char* v : vars) out.fv.push_back(InternSymbol(v));
+    return out;
+  };
+
+  constexpr int kSeeds = 120;
+  constexpr int kDeltasPerSeed = 14;
+  int comparisons = 0;
+  int disagreements = 0;
+  uint64_t incremental = 0;
+  uint64_t decided_incrementally = 0;
+  for (int seed = 1; seed <= kSeeds; ++seed) {
+    Rng rng(seed * 7919);
+    Database db;
+    for (int b = 0; b < 10; ++b) {
+      SymbolId relation = WindowRelation(&rng);
+      std::vector<SymbolId> key = WindowKey(&rng, relation);
+      int size = static_cast<int>(rng.Range(1, 2));
+      for (int f = 0; f < size; ++f) {
+        ASSERT_TRUE(db.AddFact(WindowFact(&rng, relation, key)).ok());
+      }
+    }
+    std::vector<WindowQuery> queries = {pick(kWithConstants, &rng),
+                                        pick(kNonKeyFree, &rng),
+                                        pick(kTwoFree, &rng)};
+    if (seed % 4 != 0) queries.push_back(pick(kBoolean, &rng));
+
+    Session::Options options;
+    options.num_threads = 2;
+    Session session(std::move(db), options);
+    auto serve_and_check = [&](const WindowQuery& wq, int d) {
+      Session::Stats before = session.stats();
+      Result<Rows> served = Serve(session, wq.q, wq.fv);
+      ASSERT_TRUE(served.ok()) << served.status();
+      Session::Stats after = session.stats();
+      Result<Rows> fresh = testutil::CertainAnswers(session.db(), wq.q, wq.fv);
+      ASSERT_TRUE(fresh.ok()) << fresh.status();
+      Result<Rows> possible =
+          testutil::PossibleAnswers(session.db(), wq.q, wq.fv);
+      ASSERT_TRUE(possible.ok()) << possible.status();
+      bool agrees =
+          *served == *fresh &&
+          after.rows_decided - before.rows_decided <= possible->size();
+      if (!agrees) {
+        ++disagreements;
+        ADD_FAILURE() << "seed " << seed << " delta " << d << " query "
+                      << wq.q.ToString() << ": served " << served->size()
+                      << " rows, expected " << fresh->size() << ", decided "
+                      << after.rows_decided - before.rows_decided << " of "
+                      << possible->size() << " possible";
+      }
+      incremental += after.answers_incremental - before.answers_incremental;
+      if (after.answers_incremental > before.answers_incremental) {
+        decided_incrementally += after.rows_decided - before.rows_decided;
+      }
+      ++comparisons;
+    };
+    for (const WindowQuery& wq : queries) serve_and_check(wq, -1);
+
+    int until_serve = static_cast<int>(rng.Range(1, 5));
+    for (int d = 0; d < kDeltasPerSeed; ++d) {
+      Delta delta = WindowDelta(session.db(), &rng);
+      Result<uint64_t> applied = session.ApplyDelta(delta);
+      ASSERT_TRUE(applied.ok()) << applied.status();
+      if (--until_serve > 0) continue;
+      until_serve = static_cast<int>(rng.Range(1, 5));
+      bool served_any = false;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        bool last = i + 1 == queries.size();
+        if (rng.Chance(1, 2) || (last && !served_any)) {
+          serve_and_check(queries[i], d);
+          served_any = true;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(disagreements, 0);
+  EXPECT_GE(comparisons, 1000);
+  // The stale-entry path (not only full recomputes) carried the serves.
+  EXPECT_GT(incremental, 100u);
+  EXPECT_GT(decided_incrementally, 0u);
 }
 
 // ------------------------------------------------------- concurrency

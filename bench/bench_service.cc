@@ -227,6 +227,42 @@ BENCHMARK(BM_Service_PaginatedAnswers)
     ->RangeMultiplier(4)
     ->Range(1024, cqa_bench::RangeLimit(4096, 1024));
 
+/// The client half of a page: decode one 4096-row, one-column
+/// certain_answers reply whose values are all interned already (a
+/// client streaming a tenant that its process also serves, as the
+/// end-to-end answer_stream readers do), on 1 thread and on 3 threads
+/// at once. At 3 threads the wall time is the run's wall clock over all
+/// three threads' decodes (3 threads that never contend read a third of
+/// the 1-thread time) and the CPU time is each decode's own cost, so the
+/// pair shows what concurrent readers cost each other.
+void BM_Codec_DecodeRows(benchmark::State& state) {
+  static const std::string* page = [] {
+    net::CertainAnswersReply reply;
+    for (int i = 0; i < 4096; ++i) {
+      reply.rows.push_back({InternSymbol("page-row-" + std::to_string(i))});
+    }
+    reply.total_rows = 3 * 4096;
+    reply.next_page_token = "v1:1:4096";
+    auto* bytes = new std::string;
+    net::Writer w(bytes);
+    net::EncodeCertainAnswersReply(&w, reply);
+    return bytes;
+  }();
+  size_t rows = 0;
+  for (auto _ : state) {
+    net::Reader r(*page);
+    Result<net::CertainAnswersReply> reply =
+        net::DecodeCertainAnswersReply(&r);
+    rows = reply->rows.size();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["rows"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kAvgThreads);
+  state.counters["threads"] = benchmark::Counter(
+      state.threads(), benchmark::Counter::kAvgThreads);
+}
+BENCHMARK(BM_Codec_DecodeRows)->Threads(1)->Threads(3);
+
 /// Thread-scaling series through the front door: one uncached
 /// CertainAnswers request per iteration over a `blocks`-block path
 /// database, its candidate batch partitioned across `threads` workers.

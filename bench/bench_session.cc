@@ -45,9 +45,8 @@ Database PathDb(int n) {
   return db;
 }
 
-/// The per-request delta: flip block a_k between its consistent and its
-/// uncertain contents — touches exactly one R block, whose key pins the
-/// answer parameter x.
+/// One delta: block a_k with its consistent or its uncertain contents —
+/// touches exactly one R block, whose key pins the answer parameter x.
 Service::DeltaRequest FlipDelta(int k, bool make_uncertain) {
   std::string a = "a" + std::to_string(k);
   std::string b = "b" + std::to_string(k);
@@ -61,6 +60,28 @@ Service::DeltaRequest FlipDelta(int k, bool make_uncertain) {
                              std::move(facts));
   return request;
 }
+
+/// The per-request delta stream over PathDb(n): block a_k, k stepping
+/// by 13, flipped away from whatever it holds now. Every delta changes
+/// the block's certainty (and so row a_k of the answer), on every pass
+/// over the blocks — none rewrites a block with its own contents.
+class FlipDeltas {
+ public:
+  explicit FlipDeltas(int n) : uncertain_(n) {
+    for (int i = 0; i < n; i += 7) uncertain_[i] = true;  // as PathDb
+  }
+
+  Service::DeltaRequest Next() {
+    int k = k_;
+    k_ = (k_ + 13) % static_cast<int>(uncertain_.size());
+    uncertain_[k] = !uncertain_[k];
+    return FlipDelta(k, uncertain_[k]);
+  }
+
+ private:
+  std::vector<bool> uncertain_;
+  int k_ = 0;
+};
 
 /// A single-database service sized for these benches: one worker
 /// thread, service-local plan cache, pages big enough that every
@@ -107,15 +128,12 @@ void BM_Session_DeltaReServe(benchmark::State& state) {
   Service::CertainAnswersRequest request = PathRequest(handle);
   // Warm: one full compute populates the cache and the worker index.
   size_t rows = service.CertainAnswers(request)->rows.size();
-  int k = 0;
-  bool uncertain = true;
+  FlipDeltas deltas(n);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto served = service.CertainAnswers(request);
     benchmark::DoNotOptimize(served);
     rows = served->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
 }
@@ -172,15 +190,12 @@ void BM_Session_FullRecompute(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = 0;
-  int k = 0;
-  bool uncertain = true;
+  FlipDeltas deltas(n);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto fresh = service.CertainAnswers(request);
     benchmark::DoNotOptimize(fresh);
     rows = fresh->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
 }
@@ -205,15 +220,12 @@ void BM_Session_FullRecomputeThreads(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = 0;
-  int k = 0;
-  bool uncertain = true;
+  FlipDeltas deltas(n);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto fresh = service.CertainAnswers(request);
     benchmark::DoNotOptimize(fresh);
     rows = fresh->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
   state.counters["threads"] = threads;
@@ -248,15 +260,12 @@ void BM_Session_DurableDeltaReServe(benchmark::State& state) {
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   Service::CertainAnswersRequest request = PathRequest(handle);
   size_t rows = service.CertainAnswers(request)->rows.size();
-  int k = 0;
-  bool uncertain = true;
+  FlipDeltas deltas(n);
   for (auto _ : state) {
-    service.ApplyDelta(FlipDelta(k, uncertain)).ok();
+    service.ApplyDelta(deltas.Next()).ok();
     auto served = service.CertainAnswers(request);
     benchmark::DoNotOptimize(served);
     rows = served->rows.size();
-    k = (k + 13) % n;
-    uncertain = !uncertain;
   }
   ReportServiceCounters(state, service, rows);
   Service::StatsResponse stats = service.Stats({}).value();
@@ -276,12 +285,9 @@ void BM_Session_ApplyDeltaOnly(benchmark::State& state) {
   PreparedQueryHandle handle =
       service.Prepare(PathQ(), {InternSymbol("x")}).value();
   service.CertainAnswers(PathRequest(handle)).ok();  // build the index
-  int k = 0;
-  bool uncertain = true;
+  FlipDeltas deltas(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(service.ApplyDelta(FlipDelta(k, uncertain)));
-    k = (k + 13) % n;
-    uncertain = !uncertain;
+    benchmark::DoNotOptimize(service.ApplyDelta(deltas.Next()));
   }
 }
 BENCHMARK(BM_Session_ApplyDeltaOnly)

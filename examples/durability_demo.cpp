@@ -23,6 +23,7 @@
 // is what lets verify reconstruct the oracle from nothing but the
 // recovered epoch.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -158,7 +159,8 @@ int Verify(const std::string& dir, uint64_t min_epoch) {
                      .c_str());
     return 1;
   }
-  if (served->rows != expected->rows) {
+  if (!std::equal(served->rows.begin(), served->rows.end(),
+                  expected->rows.begin(), expected->rows.end())) {
     std::fprintf(stderr,
                  "verify: served %zu certain answers, oracle has %zu\n",
                  served->rows.size(), expected->rows.size());

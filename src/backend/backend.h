@@ -61,6 +61,39 @@ struct BackendOptions {
   size_t resident_budget_facts = 0;
 };
 
+/// An answer set, identical in shape and order contract to
+/// `Session::RowSet`: distinct rows, sorted lexicographically.
+using AnswerRows = std::vector<std::vector<SymbolId>>;
+
+/// One page of an answer set: rows [begin, end) of an immutable row set
+/// that the page shares, not copies — a page costs one shared_ptr
+/// however many rows it spans. Range-iterable over contiguous rows.
+class RowPage {
+ public:
+  using Row = std::vector<SymbolId>;
+
+  RowPage() = default;
+  /// The whole of `rows`.
+  explicit RowPage(std::shared_ptr<const AnswerRows> rows)
+      : RowPage(rows, 0, rows->size()) {}
+  /// (*rows)[begin, end); requires begin <= end <= rows->size().
+  RowPage(std::shared_ptr<const AnswerRows> rows, size_t begin, size_t end)
+      : begin_(rows->data() + begin),
+        end_(rows->data() + end),
+        rows_(std::move(rows)) {}
+
+  const Row* begin() const { return begin_; }
+  const Row* end() const { return end_; }
+  size_t size() const { return static_cast<size_t>(end_ - begin_); }
+  bool empty() const { return begin_ == end_; }
+  const Row& operator[](size_t i) const { return begin_[i]; }
+
+ private:
+  const Row* begin_ = nullptr;
+  const Row* end_ = nullptr;
+  std::shared_ptr<const AnswerRows> rows_;
+};
+
 /// A paginated view over one certain-answer set pinned to a stable
 /// snapshot: pages fetched later never see mid-stream deltas. The
 /// `Service` pages every stream through one: an in-memory row-set
@@ -68,15 +101,13 @@ struct BackendOptions {
 /// read transaction on a dedicated connection).
 class AnswerCursor {
  public:
-  /// An answer set, identical in shape and order contract to
-  /// `Session::RowSet`: distinct rows, sorted lexicographically.
-  using RowSet = std::vector<std::vector<SymbolId>>;
+  using RowSet = AnswerRows;
 
   virtual ~AnswerCursor() = default;
   /// Rows in the pinned answer set.
   virtual size_t total_rows() const = 0;
   /// Rows [offset, offset + limit) of the set, in set order.
-  virtual Result<RowSet> Fetch(size_t offset, size_t limit) = 0;
+  virtual Result<RowPage> Fetch(size_t offset, size_t limit) = 0;
 };
 
 class Backend {

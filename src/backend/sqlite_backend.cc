@@ -72,7 +72,7 @@ class SqliteCursor : public AnswerCursor {
 
   size_t total_rows() const override { return total_; }
 
-  Result<RowSet> Fetch(size_t offset, size_t limit) override {
+  Result<RowPage> Fetch(size_t offset, size_t limit) override {
     std::lock_guard<std::mutex> lock(mu_);
     sqlite3_bind_int64(page_stmt_, 1, static_cast<sqlite3_int64>(limit));
     sqlite3_bind_int64(page_stmt_, 2, static_cast<sqlite3_int64>(offset));
@@ -89,7 +89,7 @@ class SqliteCursor : public AnswerCursor {
     sqlite3_reset(page_stmt_);
     sqlite3_clear_bindings(page_stmt_);
     if (rc != SQLITE_DONE) return SqliteError(conn_, "cursor page fetch");
-    return rows;
+    return RowPage(std::make_shared<const RowSet>(std::move(rows)));
   }
 
  private:

@@ -12,7 +12,65 @@ namespace {
 /// Highest StatusCode value protocol v1 knows; decoded codes above it
 /// collapse to kInternal (forward compatibility, §3).
 constexpr uint8_t kMaxKnownStatusCode =
-    static_cast<uint8_t>(StatusCode::kDeadlineExceeded);
+    static_cast<uint8_t>(StatusCode::kResourceExhausted);
+
+/// Resolves `names` into `*ids` with one interner batch, or
+/// ResourceExhausted when a new name meets the interner's cap.
+Status InternNames(const std::vector<std::string_view>& names,
+                   std::vector<SymbolId>* ids) {
+  ids->resize(names.size());
+  Interner& interner = GlobalInterner();
+  if (interner.InternBatch(names.data(), names.size(), ids->data())) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "symbol space exhausted: the server interns no new symbols past its "
+      "cap of " + std::to_string(interner.max_symbols()));
+}
+
+/// A rows field read and validated but not yet resolved: the row widths
+/// and every value, viewing the payload. Nothing is interned until the
+/// whole payload has been accepted.
+struct RowNames {
+  std::vector<uint32_t> widths;
+  std::vector<std::string_view> names;
+};
+
+bool ReadRowNames(Reader* r, RowNames* out) {
+  uint64_t nrows = r->Varint();
+  for (uint64_t i = 0; i < nrows && !r->failed(); ++i) {
+    uint64_t width = r->Varint();
+    if (r->failed() || width > kMaxArity) return false;
+    out->widths.push_back(static_cast<uint32_t>(width));
+    for (uint64_t j = 0; j < width; ++j) out->names.push_back(r->Str());
+  }
+  return !r->failed();
+}
+
+/// Builds the rows of an accepted page: one interner batch for every
+/// value, then the rows, reserved up front.
+Result<Session::RowSet> ResolveRows(const RowNames& page) {
+  std::vector<SymbolId> ids;
+  CQA_RETURN_NOT_OK(InternNames(page.names, &ids));
+  Session::RowSet rows;
+  rows.reserve(page.widths.size());
+  const SymbolId* next = ids.data();
+  for (uint32_t width : page.widths) {
+    rows.emplace_back(next, next + width);
+    next += width;
+  }
+  return rows;
+}
+
+/// The certain_answers reply body, for the wire DTO and for a Service
+/// response (whose rows are a snapshot page) alike.
+template <typename Page>
+void EncodeAnswerPage(Writer* w, const Page& m) {
+  EncodeRows(w, m.rows);
+  w->Str(m.next_page_token);
+  w->Varint(m.total_rows);
+  w->Varint(m.epoch);
+}
 
 void EncodeStringList(Writer* w, const std::vector<std::string>& names) {
   w->Varint(names.size());
@@ -115,20 +173,19 @@ void EncodeFact(Writer* w, const Fact& fact) {
 }
 
 Result<Fact> DecodeFact(Reader* r) {
-  std::string_view relation = r->Str();
+  std::vector<std::string_view> names = {r->Str()};  // relation, values
   uint64_t key_arity = r->Varint();
   uint64_t arity = r->Varint();
   if (r->failed() || arity > kMaxArity || key_arity > arity) {
     return MalformedPayload("fact arity");
   }
-  std::vector<SymbolId> values;
-  values.reserve(arity);
-  for (uint64_t i = 0; i < arity; ++i) {
-    values.push_back(InternSymbol(r->Str()));
-  }
+  for (uint64_t i = 0; i < arity; ++i) names.push_back(r->Str());
   if (r->failed()) return MalformedPayload("fact");
-  return Fact(InternSymbol(relation), std::move(values),
-              static_cast<int>(key_arity));
+  std::vector<SymbolId> values;
+  CQA_RETURN_NOT_OK(InternNames(names, &values));
+  SymbolId relation = values.front();
+  values.erase(values.begin());
+  return Fact(relation, std::move(values), static_cast<int>(key_arity));
 }
 
 void EncodeDelta(Writer* w, const Delta& delta) {
@@ -169,16 +226,17 @@ Result<Delta> DecodeDelta(Reader* r) {
         delta.Remove(*std::move(fact));
       }
     } else if (tag == 3) {
-      SymbolId relation = InternSymbol(r->Str());
+      std::vector<std::string_view> names = {r->Str()};  // relation, key
       uint64_t key_len = r->Varint();
       if (r->failed() || key_len > kMaxArity) {
         return MalformedPayload("replace_block key");
       }
+      for (uint64_t j = 0; j < key_len; ++j) names.push_back(r->Str());
+      if (r->failed()) return MalformedPayload("replace_block key");
       std::vector<SymbolId> key;
-      key.reserve(key_len);
-      for (uint64_t j = 0; j < key_len; ++j) {
-        key.push_back(InternSymbol(r->Str()));
-      }
+      CQA_RETURN_NOT_OK(InternNames(names, &key));
+      SymbolId relation = key.front();
+      key.erase(key.begin());
       uint64_t nfacts = r->Varint();
       std::vector<Fact> facts;
       for (uint64_t j = 0; j < nfacts && !r->failed(); ++j) {
@@ -219,7 +277,9 @@ Result<Database> DecodeDatabase(Reader* r) {
     if (r->failed() || arity > kMaxArity || key_arity > arity) {
       return MalformedPayload("schema signature");
     }
-    Status added = schema.AddRelation(name, static_cast<int>(arity),
+    std::vector<SymbolId> id;
+    CQA_RETURN_NOT_OK(InternNames({name}, &id));
+    Status added = schema.AddRelation(id[0], static_cast<int>(arity),
                                       static_cast<int>(key_arity));
     if (!added.ok()) return added;
   }
@@ -236,29 +296,19 @@ Result<Database> DecodeDatabase(Reader* r) {
   return db;
 }
 
-void EncodeRows(Writer* w, const Session::RowSet& rows) {
-  w->Varint(rows.size());
-  for (const std::vector<SymbolId>& row : rows) {
-    w->Varint(row.size());
-    for (SymbolId v : row) w->Str(SymbolName(v));
+void EncodeRows(Writer* w, RowRange rows) {
+  w->Varint(static_cast<uint64_t>(rows.end - rows.begin));
+  for (const std::vector<SymbolId>* row = rows.begin; row != rows.end;
+       ++row) {
+    w->Varint(row->size());
+    for (SymbolId v : *row) w->Str(SymbolName(v));
   }
 }
 
 Result<Session::RowSet> DecodeRows(Reader* r) {
-  uint64_t nrows = r->Varint();
-  Session::RowSet rows;
-  for (uint64_t i = 0; i < nrows && !r->failed(); ++i) {
-    uint64_t width = r->Varint();
-    if (r->failed() || width > kMaxArity) return MalformedPayload("row");
-    std::vector<SymbolId> row;
-    row.reserve(width);
-    for (uint64_t j = 0; j < width; ++j) {
-      row.push_back(InternSymbol(r->Str()));
-    }
-    rows.push_back(std::move(row));
-  }
-  if (r->failed()) return MalformedPayload("rows");
-  return rows;
+  RowNames page;
+  if (!ReadRowNames(r, &page)) return MalformedPayload("rows");
+  return ResolveRows(page);
 }
 
 // ----------------------------------------------------- request messages
@@ -478,22 +528,30 @@ Result<CertainAnswersCall> DecodeCertainAnswersCall(Reader* r) {
 }
 
 void EncodeCertainAnswersReply(Writer* w, const CertainAnswersReply& m) {
-  EncodeRows(w, m.rows);
-  w->Str(m.next_page_token);
-  w->Varint(m.total_rows);
-  w->Varint(m.epoch);
+  EncodeAnswerPage(w, m);
+}
+
+void EncodeCertainAnswersResponse(Writer* w,
+                                  const Service::CertainAnswersResponse& m) {
+  EncodeAnswerPage(w, m);
 }
 
 Result<CertainAnswersReply> DecodeCertainAnswersReply(Reader* r) {
+  // The whole reply is read and checked before its rows are resolved,
+  // so a rejected page interns nothing.
+  RowNames page;
+  bool rows_read = ReadRowNames(r, &page);
   CertainAnswersReply m;
-  Result<Session::RowSet> rows = DecodeRows(r);
-  if (!rows.ok()) return rows.status();
-  m.rows = *std::move(rows);
   m.next_page_token = std::string(r->Str());
   m.total_rows = r->Varint();
   m.epoch = r->Varint();
-  if (r->failed()) return MalformedPayload("certain_answers reply");
-  return Finish(r, std::move(m), "certain_answers reply");
+  if (!rows_read || r->failed() || !r->done()) {
+    return MalformedPayload("certain_answers reply");
+  }
+  Result<Session::RowSet> rows = ResolveRows(page);
+  if (!rows.ok()) return rows.status();
+  m.rows = *std::move(rows);
+  return m;
 }
 
 void EncodeApplyDeltaCall(Writer* w, const ApplyDeltaCall& m) {

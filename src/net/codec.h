@@ -22,7 +22,10 @@
 ///
 /// Design rules the codecs follow:
 ///   * symbols travel as strings and are (re)interned on decode —
-///     `SymbolId`s never cross a process boundary;
+///     `SymbolId`s never cross a process boundary. A decoder interns
+///     only after it has read the whole value, in one batch; past the
+///     interner's cap a fact, delta, schema or rows decode answers
+///     ResourceExhausted;
 ///   * decoders validate EVERYTHING: every length against the remaining
 ///     bytes, every enum tag, and that no trailing bytes remain. A
 ///     malformed payload yields InvalidArgument (never a crash, never
@@ -67,8 +70,23 @@ Result<Delta> DecodeDelta(Reader* r);
 void EncodeDatabase(Writer* w, const Database& db);
 Result<Database> DecodeDatabase(Reader* r);
 
+/// Contiguous rows [begin, end) borrowed from a whole `Session::RowSet`
+/// or from one snapshot `RowPage`: what the row encoder reads.
+struct RowRange {
+  /* implicit */ RowRange(const Session::RowSet& rows)
+      : begin(rows.data()), end(rows.data() + rows.size()) {}
+  /* implicit */ RowRange(const RowPage& page)
+      : begin(page.begin()), end(page.end()) {}
+  const std::vector<SymbolId>* begin;
+  const std::vector<SymbolId>* end;
+};
+
 /// rows := varint nrows ++ row*; row := varint width ++ string*width.
-void EncodeRows(Writer* w, const Session::RowSet& rows);
+/// The one row encoder: every reply's rows go through it.
+void EncodeRows(Writer* w, RowRange rows);
+/// Reads and validates every width and value first, then resolves the
+/// whole page with one interner batch: a rejected page interns nothing.
+/// ResourceExhausted when a new value meets the interner's cap.
 Result<Session::RowSet> DecodeRows(Reader* r);
 
 /// Arity cap applied while decoding atoms, facts and rows: wide enough
@@ -231,6 +249,10 @@ Result<SolveBatchResponse> DecodeSolveBatchResponse(Reader* r);
 void EncodeCertainAnswersCall(Writer* w, const CertainAnswersCall& m);
 Result<CertainAnswersCall> DecodeCertainAnswersCall(Reader* r);
 void EncodeCertainAnswersReply(Writer* w, const CertainAnswersReply& m);
+/// The server's page path: the same bytes as EncodeCertainAnswersReply,
+/// with the rows encoded straight from the response's snapshot page.
+void EncodeCertainAnswersResponse(Writer* w,
+                                  const Service::CertainAnswersResponse& m);
 Result<CertainAnswersReply> DecodeCertainAnswersReply(Reader* r);
 
 void EncodeApplyDeltaCall(Writer* w, const ApplyDeltaCall& m);

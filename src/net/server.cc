@@ -776,15 +776,10 @@ std::string Server::HandleVerb(Verb verb, const std::string& payload,
       Result<Service::CertainAnswersResponse> resp =
           service_->CertainAnswers(creq);
       if (!resp.ok()) return StatusOnly(resp.status());
-      CertainAnswersReply reply;
-      reply.rows = std::move(resp->rows);
-      reply.next_page_token = std::move(resp->next_page_token);
-      reply.total_rows = resp->total_rows;
-      reply.epoch = resp->epoch;
       std::string out;
       Writer w(&out);
       EncodeStatus(&w, Status::OK());
-      EncodeCertainAnswersReply(&w, reply);
+      EncodeCertainAnswersResponse(&w, *resp);
       return out;
     }
 

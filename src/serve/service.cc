@@ -54,7 +54,7 @@ bool ParsePageToken(const std::string& token, uint64_t* cursor_id,
 
 /// The in-memory answer cursor: pages over one immutable row-set
 /// snapshot shared with the session's answer cache, so later deltas
-/// never reach it.
+/// never reach it. A page is a slice of the snapshot, never a copy.
 class SnapshotCursor : public AnswerCursor {
  public:
   explicit SnapshotCursor(std::shared_ptr<const Session::RowSet> rows)
@@ -62,11 +62,10 @@ class SnapshotCursor : public AnswerCursor {
 
   size_t total_rows() const override { return rows_->size(); }
 
-  Result<RowSet> Fetch(size_t offset, size_t limit) override {
+  Result<RowPage> Fetch(size_t offset, size_t limit) override {
     size_t begin = std::min(offset, rows_->size());
     size_t end = begin + std::min(limit, rows_->size() - begin);
-    return RowSet(rows_->begin() + static_cast<ptrdiff_t>(begin),
-                  rows_->begin() + static_cast<ptrdiff_t>(end));
+    return RowPage(rows_, begin, end);
   }
 
  private:
@@ -79,10 +78,10 @@ Result<Service::CertainAnswersResponse> FetchPage(AnswerCursor& answers,
                                                   uint64_t epoch,
                                                   size_t offset,
                                                   size_t limit) {
-  Result<AnswerCursor::RowSet> rows = answers.Fetch(offset, limit);
+  Result<RowPage> rows = answers.Fetch(offset, limit);
   if (!rows.ok()) return rows.status();
   Service::CertainAnswersResponse response;
-  response.rows = std::move(rows).value();  // `*` would copy every row
+  response.rows = *std::move(rows);
   response.total_rows = answers.total_rows();
   response.epoch = epoch;
   return response;
@@ -619,10 +618,10 @@ Result<Service::CertainAnswersResponse> Service::ContinueStream(
     return Status::InvalidArgument("malformed page token '" +
                                    request.page_token + "'");
   }
-  // Under the lock: cursor bookkeeping only (O(1)). The page's rows are
+  // Under the lock: cursor bookkeeping only (O(1)). The page is
   // fetched AFTER release — an in-memory snapshot is immutable and a
   // backend cursor serializes internally — so concurrent page fetches
-  // never queue behind each other's row copies.
+  // never queue behind each other.
   std::shared_ptr<AnswerCursor> answers;
   uint64_t epoch = 0;
   size_t total = 0;

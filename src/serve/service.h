@@ -306,9 +306,10 @@ class Service {
   };
   struct CertainAnswersResponse {
     /// This page of the answer set (rows sorted lexicographically
-    /// across the whole stream). For a Boolean query the set is empty
-    /// or the single empty row.
-    Session::RowSet rows;
+    /// across the whole stream): a slice of the stream's snapshot,
+    /// shared, not copied. For a Boolean query the set is empty or the
+    /// single empty row.
+    RowPage rows;
     /// Non-empty while more pages remain; feed it back verbatim. All
     /// pages of one stream come from ONE immutable snapshot — deltas
     /// applied mid-stream never tear the result.

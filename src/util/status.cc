@@ -25,6 +25,8 @@ const char* CodeName(StatusCode code) {
       return "DataLoss";
     case StatusCode::kDeadlineExceeded:
       return "DeadlineExceeded";
+    case StatusCode::kResourceExhausted:
+      return "ResourceExhausted";
   }
   return "Unknown";
 }

@@ -24,9 +24,11 @@ namespace cqa {
 /// mid-log checksum mismatch, a snapshot that fails validation; see
 /// store/), DeadlineExceeded (the request's deadline expired or the
 /// server cancelled it while draining — the work was abandoned
-/// part-way; re-issue with a larger budget). Values are wire-stable
-/// (net/ serializes them as raw bytes): new codes append, old ones
-/// never renumber.
+/// part-way; re-issue with a larger budget), ResourceExhausted (a
+/// bounded server resource is full — the interner's symbol cap — and
+/// the request would grow it; retrying will fail the same way). Values
+/// are wire-stable (net/ serializes them as raw bytes): new codes
+/// append, old ones never renumber.
 enum class StatusCode {
   kOk = 0,
   kInvalidArgument,
@@ -38,6 +40,7 @@ enum class StatusCode {
   kUnavailable,
   kDataLoss,
   kDeadlineExceeded,
+  kResourceExhausted,
 };
 
 /// A cheap success/error value carrying a code and a message.
@@ -75,6 +78,9 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }
@@ -126,6 +132,8 @@ class Result {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  /// `*std::move(result)` moves the value out rather than copying it.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

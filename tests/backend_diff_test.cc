@@ -45,7 +45,7 @@ Result<Session::RowSet> Reassemble(Service& service,
   Result<Service::CertainAnswersResponse> page =
       service.CertainAnswers(first);
   if (!page.ok()) return page.status();
-  Session::RowSet rows = page->rows;
+  Session::RowSet rows(page->rows.begin(), page->rows.end());
   size_t total = page->total_rows;
   uint64_t epoch = page->epoch;
   while (!page->next_page_token.empty()) {
@@ -212,7 +212,7 @@ TEST(BackendDiffTest, FileBackedCursorsServeAPinnedSnapshot) {
   ASSERT_TRUE(mem.ApplyDelta(delta).ok());
 
   // ...and the open stream keeps serving its pinned pre-delta snapshot.
-  Session::RowSet rows = first->rows;
+  Session::RowSet rows(first->rows.begin(), first->rows.end());
   size_t total = first->total_rows;
   std::string token = first->next_page_token;
   while (!token.empty()) {

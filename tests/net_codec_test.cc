@@ -248,7 +248,8 @@ TEST(CodecStatusTest, RoundTripsEveryKnownCode) {
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kParseError,
         StatusCode::kNotFound, StatusCode::kUnsupported, StatusCode::kInternal,
         StatusCode::kFailedPrecondition, StatusCode::kUnavailable,
-        StatusCode::kDataLoss}) {
+        StatusCode::kDataLoss, StatusCode::kDeadlineExceeded,
+        StatusCode::kResourceExhausted}) {
     std::string bytes;
     Writer w(&bytes);
     EncodeStatus(&w, Status(code, code == StatusCode::kOk ? "" : "msg"));
@@ -510,6 +511,206 @@ TEST(CodecHostileTest, ArityBoundsAreEnforced) {
     Reader r(bytes);
     EXPECT_FALSE(DecodeRows(&r).ok());
   }
+}
+
+// ------------------------------------------------------------ row pages
+
+/// A certain_answers reply written byte by byte, so its values can be
+/// strings this process has never interned: `rows` are the row values,
+/// the tail is fixed.
+std::string RawAnswersReply(const std::vector<std::vector<std::string>>& rows) {
+  std::string bytes;
+  Writer w(&bytes);
+  w.Varint(rows.size());
+  for (const std::vector<std::string>& row : rows) {
+    w.Varint(row.size());
+    for (const std::string& v : row) w.Str(v);
+  }
+  w.Str("v1:9:4");
+  w.Varint(12);
+  w.Varint(3);
+  return bytes;
+}
+
+TEST(CodecRowPageTest, RoundTripsNeverSeenRepeatedAndEmptyRows) {
+  // Never-seen values, one of them repeated across rows, rows of width
+  // zero, and enough distinct values to touch every interner shard.
+  std::vector<std::vector<std::string>> rows = {
+      {"rowpage-fresh-a", "rowpage-fresh-b"}, {}, {"rowpage-fresh-a"}};
+  for (int i = 0; i < 64; ++i) {
+    rows.push_back({"rowpage-fresh-" + std::to_string(i), "rowpage-fresh-a"});
+  }
+  rows.push_back({});
+  std::string bytes = RawAnswersReply(rows);
+  size_t before = GlobalInterner().size();
+  Reader r(bytes);
+  Result<CertainAnswersReply> reply = DecodeCertainAnswersReply(&r);
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  EXPECT_EQ(GlobalInterner().size(), before + 66);  // a, b, 0..63
+  ASSERT_EQ(reply->rows.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ASSERT_EQ(reply->rows[i].size(), rows[i].size()) << i;
+    for (size_t j = 0; j < rows[i].size(); ++j) {
+      EXPECT_EQ(SymbolName(reply->rows[i][j]), rows[i][j]) << i << "," << j;
+    }
+  }
+  // One id per string, however often the page repeats it.
+  EXPECT_EQ(reply->rows[0][0], reply->rows[2][0]);
+  EXPECT_EQ(reply->rows[0][0], reply->rows[3][1]);
+  EXPECT_EQ(reply->next_page_token, "v1:9:4");
+  std::string again;
+  Writer w(&again);
+  EncodeCertainAnswersReply(&w, *reply);
+  EXPECT_EQ(again, bytes);
+
+  // The Boolean shapes: the empty set and the single empty row.
+  for (const Session::RowSet& boolean :
+       {Session::RowSet{}, Session::RowSet{{}}}) {
+    ExpectRoundTrip(boolean, EncodeRows, DecodeRows);
+    CertainAnswersReply m;
+    m.rows = boolean;
+    ExpectRoundTrip(m, EncodeCertainAnswersReply, DecodeCertainAnswersReply);
+  }
+}
+
+TEST(CodecRowPageTest, RejectedPageInternsNothing) {
+  std::vector<std::vector<std::string>> rows;
+  for (int i = 0; i < 12; ++i) {
+    rows.push_back({"rejected-" + std::to_string(i), "rejected-shared"});
+  }
+  std::string bytes = RawAnswersReply(rows);
+  size_t before = GlobalInterner().size();
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    Reader r(std::string_view(bytes).substr(0, cut));
+    EXPECT_FALSE(DecodeCertainAnswersReply(&r).ok()) << "cut at " << cut;
+    ASSERT_EQ(GlobalInterner().size(), before) << "cut at " << cut;
+  }
+  std::string trailing = bytes + "x";
+  Reader tr(trailing);
+  EXPECT_FALSE(DecodeCertainAnswersReply(&tr).ok());
+  EXPECT_EQ(GlobalInterner().size(), before);
+  // A flipped byte either still parses (it changed a value, which is
+  // then interned) or is rejected — and a rejected page interns nothing.
+  size_t rejected = 0;
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0xA5);
+    size_t size = GlobalInterner().size();
+    Reader r(flipped);
+    if (!DecodeCertainAnswersReply(&r).ok()) {
+      ++rejected;
+      ASSERT_EQ(GlobalInterner().size(), size) << "flip at " << i;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(CodecRowPageTest, SnapshotSliceEncodesLikeTheReply) {
+  // A real stream: the Service serves its middle page as a slice of the
+  // snapshot, and the server encodes that slice directly.
+  Database db;
+  for (int i = 0; i < 10; ++i) {
+    std::string k = "slice" + std::to_string(i);
+    ASSERT_TRUE(db.AddFact(Fact::Make("R", {k, "v" + k}, 1)).ok());
+  }
+  Service service;
+  ASSERT_TRUE(service.CreateDatabase("slices", std::move(db)).ok());
+  Service::CertainAnswersRequest first;
+  first.database = "slices";
+  first.query = Query({Atom::Make("R", {"x", "y"}, 1)});
+  first.free_vars = {InternSymbol("x")};
+  first.page_size = 4;
+  Result<Service::CertainAnswersResponse> page = service.CertainAnswers(first);
+  ASSERT_TRUE(page.ok()) << page.status();
+  Service::CertainAnswersRequest next;
+  next.page_token = page->next_page_token;
+  page = service.CertainAnswers(next);
+  ASSERT_TRUE(page.ok()) << page.status();
+  ASSERT_EQ(page->rows.size(), 4u);
+  ASSERT_FALSE(page->next_page_token.empty());
+
+  std::string from_slice;
+  Writer ws(&from_slice);
+  EncodeCertainAnswersResponse(&ws, *page);
+  CertainAnswersReply reply;
+  reply.rows.assign(page->rows.begin(), page->rows.end());
+  reply.next_page_token = page->next_page_token;
+  reply.total_rows = page->total_rows;
+  reply.epoch = page->epoch;
+  std::string from_reply;
+  Writer wr(&from_reply);
+  EncodeCertainAnswersReply(&wr, reply);
+  EXPECT_EQ(from_slice, from_reply);
+  Reader r(from_slice);
+  Result<CertainAnswersReply> decoded = DecodeCertainAnswersReply(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->rows, reply.rows);
+}
+
+/// Holds the global interner at its current size for one scope, so the
+/// next new symbol meets the cap; restores the cap on exit.
+class FullSymbolSpace {
+ public:
+  FullSymbolSpace() : saved_(GlobalInterner().max_symbols()) {
+    GlobalInterner().set_max_symbols(GlobalInterner().size());
+  }
+  ~FullSymbolSpace() { GlobalInterner().set_max_symbols(saved_); }
+
+ private:
+  size_t saved_;
+};
+
+TEST(CodecSymbolCapTest, NewSymbolsPastTheCapAreRefused) {
+  Database db;
+  ASSERT_TRUE(db.AddFact(Fact::Make("Rcap", {"known", "value"}, 1)).ok());
+  CreateDatabaseRequest known_db{"known", db};
+  std::string known_bytes;
+  Writer kw(&known_bytes);
+  EncodeCreateDatabaseRequest(&kw, known_db);
+
+  // Fresh symbols written by hand: a fact, a replace_block key, a schema
+  // relation and a row value, none of them interned yet.
+  std::string fact;
+  Writer fw(&fact);
+  fw.Str("Rcap");
+  fw.Varint(1);
+  fw.Varint(2);
+  fw.Str("known");
+  fw.Str("cap-fresh-value");
+  std::string replace;
+  Writer dw(&replace);
+  dw.Varint(1);
+  dw.U8(3);
+  dw.Str("Rcap");
+  dw.Varint(1);
+  dw.Str("cap-fresh-key");
+  dw.Varint(0);
+  std::string schema;
+  Writer sw(&schema);
+  sw.Str("db");
+  sw.Varint(1);
+  sw.Str("cap-fresh-relation");
+  sw.Varint(1);
+  sw.Varint(1);
+  sw.Varint(0);
+  std::string page = RawAnswersReply({{"cap-fresh-row"}});
+
+  FullSymbolSpace full;
+  size_t before = GlobalInterner().size();
+  Reader f(fact);
+  EXPECT_EQ(DecodeFact(&f).status().code(), StatusCode::kResourceExhausted);
+  Reader d(replace);
+  EXPECT_EQ(DecodeDelta(&d).status().code(), StatusCode::kResourceExhausted);
+  Reader c(schema);
+  EXPECT_EQ(DecodeCreateDatabaseRequest(&c).status().code(),
+            StatusCode::kResourceExhausted);
+  Reader p(page);
+  EXPECT_EQ(DecodeCertainAnswersReply(&p).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(GlobalInterner().size(), before);
+  // Requests over symbols the server already knows still decode.
+  Reader k(known_bytes);
+  EXPECT_TRUE(DecodeCreateDatabaseRequest(&k).ok());
 }
 
 // ---------------------------------------------------------------- metrics

@@ -219,7 +219,8 @@ TEST_F(WireServerTest, EndToEndJourneyMatchesInProcessService) {
     Result<Service::CertainAnswersResponse> local =
         service_.CertainAnswers(creq);
     ASSERT_TRUE(local.ok());
-    EXPECT_EQ(wire_rows, local->rows);
+    EXPECT_EQ(wire_rows,
+              Session::RowSet(local->rows.begin(), local->rows.end()));
     EXPECT_EQ(wire_total, local->total_rows);
     EXPECT_EQ(wire_rows.size(), 8u);
   }

@@ -9,7 +9,10 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -293,6 +296,70 @@ TEST(ParallelRows, InternerConcurrentInternAndLookup) {
   EXPECT_EQ(stats.symbols, interner.size());
   EXPECT_EQ(stats.misses, interner.size() - 1);  // every append missed once
   EXPECT_GE(stats.lookups, stats.misses);
+}
+
+TEST(ParallelRows, InternerBatchAndSingleInterleave) {
+  // Batches and single interns race over shared and private strings:
+  // every id must name its string, every thread must see the same id
+  // for a shared string, and each distinct string must miss exactly
+  // once however many threads raced to add it.
+  Interner interner;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 150;
+  constexpr int kPage = 48;
+  constexpr int kShared = 500;
+  std::vector<std::vector<std::vector<std::string>>> pages(kThreads);
+  std::set<std::string> distinct;
+  size_t resolved = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::string> page;
+      for (int j = 0; j < kPage; ++j) {
+        int n = round * kPage + j;
+        page.push_back(j % 3 == 0 ? "t" + std::to_string(t) + ":" +
+                                        std::to_string(n)
+                                  : "s:" + std::to_string(n % kShared));
+        distinct.insert(page.back());
+      }
+      resolved += page.size();
+      pages[t].push_back(std::move(page));
+    }
+  }
+  std::vector<std::map<std::string, SymbolId>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const std::vector<std::string>& page = pages[t][round];
+        std::vector<SymbolId> ids(page.size());
+        if (round % 2 == 0) {
+          std::vector<std::string_view> names(page.begin(), page.end());
+          ASSERT_TRUE(interner.InternBatch(names.data(), names.size(),
+                                           ids.data()));
+        } else {
+          for (size_t j = 0; j < page.size(); ++j) {
+            ids[j] = interner.Intern(page[j]);
+          }
+        }
+        for (size_t j = 0; j < page.size(); ++j) {
+          ASSERT_EQ(interner.Lookup(ids[j]), page[j]);
+          auto [it, fresh] = seen[t].emplace(page[j], ids[j]);
+          ASSERT_TRUE(fresh || it->second == ids[j]) << page[j];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  Interner::Stats stats = interner.stats();
+  EXPECT_EQ(interner.size(), 1 + distinct.size());
+  EXPECT_EQ(stats.misses, distinct.size());
+  EXPECT_EQ(stats.lookups, resolved);
+  for (int t = 0; t < kThreads; ++t) {
+    for (const auto& [name, id] : seen[t]) {
+      ASSERT_EQ(interner.Intern(name), id) << name;
+    }
+  }
 }
 
 TEST(ParallelRows, GateCountsHandoffsAndReaderWaits) {

@@ -195,7 +195,7 @@ TEST(RecoveryDifferentialTest, ServiceRecoversAndServesEveryPrefix) {
     ASSERT_TRUE(served.ok()) << served.status();
     Result<Session::RowSet> expected = testutil::CertainAnswers(oracle, q, fv);
     ASSERT_TRUE(expected.ok());
-    EXPECT_EQ(served->rows, *expected) << "k=" << k;
+    EXPECT_EQ(testutil::Rows(served->rows), *expected) << "k=" << k;
     EXPECT_EQ(served->epoch, static_cast<uint64_t>(k));
 
     // The epoch chain continues where it left off.
@@ -294,7 +294,8 @@ TEST(RecoveryDifferentialTest, GroupCommitCrashLosesOnlyTheUnsyncedSuffix) {
     Result<Service::CertainAnswersResponse> served =
         reader.CertainAnswers(req);
     ASSERT_TRUE(served.ok());
-    EXPECT_EQ(served->rows, *testutil::CertainAnswers(oracle, q, fv));
+    EXPECT_EQ(testutil::Rows(served->rows),
+              *testutil::CertainAnswers(oracle, q, fv));
 
     // Clean shutdown, by contrast, drains the buffer: nothing lost.
     {
@@ -366,7 +367,8 @@ TEST(RecoveryDifferentialTest, EpochChainSurvivesCompactionAndReopens) {
   Result<Service::CertainAnswersResponse> served =
       final_svc.CertainAnswers(req);
   ASSERT_TRUE(served.ok());
-  EXPECT_EQ(served->rows, *testutil::CertainAnswers(oracle, q, fv));
+  EXPECT_EQ(testutil::Rows(served->rows),
+            *testutil::CertainAnswers(oracle, q, fv));
 }
 
 TEST(RecoveryDifferentialTest, OpenStoreErrorTaxonomy) {
@@ -488,7 +490,8 @@ TEST(ReadOnlyDegradationTest, WalFailureDegradesWritesButKeepsServingReads) {
   areq.free_vars = fv;
   Result<Service::CertainAnswersResponse> served = service.CertainAnswers(areq);
   ASSERT_TRUE(served.ok()) << served.status();
-  EXPECT_EQ(served->rows, *testutil::CertainAnswers(OraclePrefix(1), q, fv));
+  EXPECT_EQ(testutil::Rows(served->rows),
+            *testutil::CertainAnswers(OraclePrefix(1), q, fv));
   EXPECT_EQ(served->epoch, 1u);
 
   // Every further delta refuses deterministically; the degradation is

@@ -56,7 +56,7 @@ Result<Session::RowSet> Reassemble(Service& service,
   Result<Service::CertainAnswersResponse> page =
       service.CertainAnswers(first);
   if (!page.ok()) return page.status();
-  Session::RowSet rows = page->rows;
+  Session::RowSet rows = testutil::Rows(page->rows);
   size_t total = page->total_rows;
   uint64_t epoch = page->epoch;
   while (!page->next_page_token.empty()) {
@@ -262,7 +262,7 @@ TEST(ServiceTest, PaginationEdgeCases) {
   req.page_size = 1;
   Result<Session::RowSet> rows = Reassemble(service, req);
   ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(*rows, all.rows);
+  EXPECT_EQ(*rows, testutil::Rows(all.rows));
   EXPECT_EQ(service.Stats({}).value().open_cursors, 0u);
 
   // Empty result: empty page, no token, no cursor.
@@ -339,7 +339,7 @@ TEST(ServiceTest, CursorsServeTheOldSnapshotAcrossDeltas) {
   EXPECT_EQ(epoch, 1u);
 
   // The open cursor keeps serving its pre-delta snapshot to the end.
-  Session::RowSet streamed = first.rows;
+  Session::RowSet streamed = testutil::Rows(first.rows);
   std::string token = first.next_page_token;
   while (!token.empty()) {
     Service::CertainAnswersRequest next;
@@ -351,7 +351,7 @@ TEST(ServiceTest, CursorsServeTheOldSnapshotAcrossDeltas) {
     streamed.insert(streamed.end(), page.rows.begin(), page.rows.end());
     token = page.next_page_token;
   }
-  EXPECT_EQ(streamed, before.rows);
+  EXPECT_EQ(streamed, testutil::Rows(before.rows));
 
   // A fresh stream sees the post-delta world (one R-block deleted).
   req.page_size = 0;

@@ -247,7 +247,7 @@ TEST(ServingTest, CertainAnswersMatchOneShot) {
     auto one_shot = testutil::CertainAnswers(db, *requests[i].query,
                                              requests[i].free_vars);
     ASSERT_TRUE(one_shot.ok());
-    EXPECT_EQ(served->rows, *one_shot) << i;
+    EXPECT_EQ(testutil::Rows(served->rows), *one_shot) << i;
   }
 
   // An invalid request fails alone; the service keeps serving.

@@ -51,6 +51,11 @@ inline Result<std::shared_ptr<const Session::RowSet>> SessionCertainAnswers(
   return session.CertainAnswers(*plan, q, free_vars);
 }
 
+/// The rows of a Service page, copied out of its snapshot slice.
+inline Session::RowSet Rows(const RowPage& page) {
+  return Session::RowSet(page.begin(), page.end());
+}
+
 inline Result<std::vector<std::vector<SymbolId>>> PossibleAnswers(
     const Database& db, const Query& q,
     const std::vector<SymbolId>& free_vars) {

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <optional>
+#include <string_view>
+#include <vector>
+
 #include "util/bigint.h"
 #include "util/interner.h"
 #include "util/rational.h"
@@ -45,6 +50,46 @@ TEST(InternerTest, RoundTrip) {
 }
 
 TEST(InternerTest, EmptySymbolIsZero) { EXPECT_EQ(InternSymbol(""), 0u); }
+
+TEST(InternerTest, FailsClosedAtItsCap) {
+  Interner interner(4);  // the empty symbol plus three
+  SymbolId a = *interner.TryIntern("a");
+  SymbolId b = *interner.TryIntern("b");
+  SymbolId c = interner.Intern("c");
+  EXPECT_EQ(interner.size(), 4u);
+  // A new name past the cap is refused and appends nothing ...
+  EXPECT_FALSE(interner.TryIntern("d").has_value());
+  EXPECT_EQ(interner.size(), 4u);
+  // ... while known names keep resolving, alone and in a batch.
+  EXPECT_EQ(interner.TryIntern("b"), b);
+  std::string_view known[] = {"c", "a", "b", "a"};
+  SymbolId ids[4];
+  ASSERT_TRUE(interner.InternBatch(known, 4, ids));
+  EXPECT_EQ(std::vector<SymbolId>(ids, ids + 4),
+            (std::vector<SymbolId>{c, a, b, a}));
+  std::string_view mixed[] = {"a", "e", "c"};
+  EXPECT_FALSE(interner.InternBatch(mixed, 3, ids));
+  EXPECT_EQ(interner.size(), 4u);
+  EXPECT_EQ(interner.stats().misses, 3u);
+  // The cap moves; raising it lets growth resume.
+  interner.set_max_symbols(5);
+  std::optional<SymbolId> d = interner.TryIntern("d");
+  ASSERT_TRUE(d.has_value());
+  EXPECT_EQ(interner.Lookup(*d), "d");
+  // Intern cannot fail, so past the cap it stops the process.
+  EXPECT_DEATH(interner.Intern("f"), "symbol space exhausted");
+}
+
+TEST(InternerTest, CapIsClampedToTheBlockDirectory) {
+  Interner huge(std::numeric_limits<size_t>::max());
+  EXPECT_EQ(huge.max_symbols(), size_t{1} << 24);
+  Interner tiny(0);  // still holds the reserved empty symbol
+  EXPECT_EQ(tiny.max_symbols(), 1u);
+  EXPECT_EQ(tiny.size(), 1u);
+  EXPECT_FALSE(tiny.TryIntern("x").has_value());
+  EXPECT_LT(Interner::kDefaultMaxSymbols, size_t{1} << 24);
+  EXPECT_EQ(GlobalInterner().max_symbols(), Interner::kDefaultMaxSymbols);
+}
 
 TEST(BigIntTest, SmallArithmetic) {
   EXPECT_EQ((BigInt(7) + BigInt(35)).ToString(), "42");

@@ -127,8 +127,7 @@ void BM_Fo_CertainAnswersParallel(benchmark::State& state) {
   Session session(std::move(db), options);
   Query q = corpus::PathQuery2();
   std::vector<SymbolId> fv = {InternSymbol("x")};
-  std::shared_ptr<const QueryPlan> plan =
-      PlanCache::Global().GetOrCompile(q, fv).value();
+  std::shared_ptr<const QueryPlan> plan = QueryPlan::Compile(q, fv).value();
   size_t answers = 0;
   for (auto _ : state) {
     answers = (*session.CertainAnswers(plan, q, fv))->size();

@@ -10,8 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "cq/matcher.h"
-
 namespace cqa_bench {
 
 bool SmokeMode() {
@@ -51,13 +49,6 @@ std::string JsonPath() {
   return cqa_bench::SmokeMode() ? "BENCH_smoke.json" : "BENCH_results.json";
 }
 
-std::string MatcherMode() {
-  // Ask the library, so the label can never diverge from the mode the
-  // matcher actually runs in.
-  return cqa::DefaultMatcherMode() == cqa::MatcherMode::kNaive ? "naive"
-                                                               : "indexed";
-}
-
 std::string BaseName(const std::string& path) {
   size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
@@ -79,9 +70,8 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       std::ostringstream line;
       line.precision(6);
       line << "{\"bench\":\"" << bench_ << "\",\"name\":\""
-           << run.benchmark_name() << "\",\"matcher\":\"" << MatcherMode()
-           << "\",\"wall_ms\":" << wall_s * 1e3 << ",\"facts\":" << facts
-           << ",\"facts_per_sec\":"
+           << run.benchmark_name() << "\",\"wall_ms\":" << wall_s * 1e3
+           << ",\"facts\":" << facts << ",\"facts_per_sec\":"
            << (wall_s > 0 ? facts / wall_s : 0);
       // Plan-cache and serving counters, when the benchmark sets them.
       for (const char* key :
@@ -100,19 +90,20 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
 
   void set_bench(std::string bench) { bench_ = std::move(bench); }
 
-  /// Rewrites the JSON array: keeps records from other binaries / the
-  /// other matcher mode, replaces this binary's records for this mode.
+  /// Rewrites the JSON array: keeps records from other binaries and
+  /// this binary's historical naive-matcher records (which no build
+  /// reproduces any more), replaces this binary's other records.
   void WriteJson() const {
     std::string self_key =
         "\"bench\":\"" + bench_ + "\",";
-    std::string mode_key = "\"matcher\":\"" + MatcherMode() + "\"";
+    const std::string naive_key = "\"matcher\":\"naive\"";
     std::vector<std::string> kept;
     std::ifstream in(JsonPath());
     std::string line;
     while (std::getline(in, line)) {
       if (line.empty() || line[0] != '{') continue;
       if (line.find(self_key) != std::string::npos &&
-          line.find(mode_key) != std::string::npos) {
+          line.find(naive_key) == std::string::npos) {
         continue;
       }
       if (line.back() == ',') line.pop_back();

@@ -13,8 +13,8 @@
 /// record per benchmark to BENCH_results.json (override the path with
 /// CQA_BENCH_JSON). Each record carries:
 ///
-///   {"bench": <binary>, "name": <benchmark/arg>, "matcher":
-///    "indexed"|"naive", "wall_ms": <per-iteration wall clock>,
+///   {"bench": <binary>, "name": <benchmark/arg>,
+///    "wall_ms": <per-iteration wall clock>,
 ///    "facts": <facts counter if set>, "facts_per_sec": <derived>,
 ///    "plan_hits"/"plan_misses"/"hit_rate"/"qps"/"threads": <serving and
 ///    plan-cache counters, present when the benchmark sets them>}
@@ -29,14 +29,14 @@
 ///
 /// The "facts" counter is the convention already used by the suite
 /// (state.counters["facts"] = db.size()); facts_per_sec is derived from it
-/// so future PRs can track throughput, not just latency. The "matcher"
-/// field reflects CQA_NAIVE_MATCHER, which flips the query matcher to the
-/// naive scan-based oracle — run the suite once with and once without it
-/// to get before/after numbers for matcher changes.
+/// so future PRs can track throughput, not just latency.
 ///
 /// Records are one JSON object per line inside a top-level array; a rerun
-/// of the same binary under the same matcher mode replaces its previous
-/// records in place, so BENCH_results.json accumulates the whole suite.
+/// of the same binary replaces its previous records in place, so
+/// BENCH_results.json accumulates the whole suite. Older records carry a
+/// "matcher" field from when the naive matcher could be switched on for
+/// a whole run; a rerun keeps the "naive" ones, which no build produces
+/// any more.
 
 namespace cqa_bench {
 

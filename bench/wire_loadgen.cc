@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "cq/matcher.h"
 #include "cq/query.h"
 #include "db/database.h"
 #include "net/chaos.h"
@@ -218,11 +217,6 @@ std::string JsonPath() {
   const char* path = std::getenv("CQA_BENCH_JSON");
   if (path != nullptr && *path != '\0') return path;
   return "BENCH_results.json";
-}
-
-std::string MatcherMode() {
-  return cqa::DefaultMatcherMode() == cqa::MatcherMode::kNaive ? "naive"
-                                                               : "indexed";
 }
 
 /// Same merge discipline as bench/bench_main.cc: keep other binaries'
@@ -435,10 +429,9 @@ int main(int argc, char** argv) {
     char line[512];
     std::snprintf(line, sizeof(line),
                   "{\"bench\":\"wire_loadgen\",\"name\":\"wire/%s\","
-                  "\"matcher\":\"%s\",\"count\":%zu,\"p50_us\":%lld,"
-                  "\"p95_us\":%lld,\"p99_us\":%lld,\"qps\":%.1f,"
-                  "\"clients\":%d}",
-                  ClassName(c), MatcherMode().c_str(), merged[c].size(),
+                  "\"count\":%zu,\"p50_us\":%lld,\"p95_us\":%lld,"
+                  "\"p99_us\":%lld,\"qps\":%.1f,\"clients\":%d}",
+                  ClassName(c), merged[c].size(),
                   static_cast<long long>(p50), static_cast<long long>(p95),
                   static_cast<long long>(p99), qps, clients);
     records.push_back(line);

@@ -1,39 +1,10 @@
 #include "cq/matcher.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <tuple>
 
 namespace cqa {
-
-// --------------------------------------------------------------- mode
-
-namespace {
-
-MatcherMode InitialMode() {
-  const char* naive = std::getenv("CQA_NAIVE_MATCHER");
-  return naive != nullptr && *naive != '\0' && *naive != '0'
-             ? MatcherMode::kNaive
-             : MatcherMode::kIndexed;
-}
-
-// Atomic so concurrent serving workers can read the mode while a test
-// harness flips it between phases.
-std::atomic<MatcherMode>& ModeSingleton() {
-  static std::atomic<MatcherMode> mode{InitialMode()};
-  return mode;
-}
-
-}  // namespace
-
-MatcherMode DefaultMatcherMode() {
-  return ModeSingleton().load(std::memory_order_relaxed);
-}
-void SetDefaultMatcherMode(MatcherMode mode) {
-  ModeSingleton().store(mode, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------- FactIndex
 
@@ -298,7 +269,7 @@ struct SearchState {
   /// Atoms in q.atoms() order; `chosen` is aligned with it.
   std::vector<const Atom*> atoms;
   std::vector<bool> used;
-  /// Static order (atom indices) for the naive mode.
+  /// Static order (atom indices) for NaiveForEachEmbedding.
   std::vector<int> order;
   const EmbeddingFactsFn& fn;
   Valuation val;
@@ -377,61 +348,63 @@ bool SearchNaive(SearchState* st, size_t depth) {
   return true;
 }
 
-bool RunSearch(const FactIndex& index, const Query& q,
-               const Valuation& initial, const EmbeddingFactsFn& fn,
-               MatcherMode mode) {
+SearchState NewSearch(const FactIndex& index, const Query& q,
+                      const Valuation& initial, const EmbeddingFactsFn& fn) {
   size_t n = q.atoms().size();
   std::vector<const Atom*> atoms;
   atoms.reserve(n);
   for (const Atom& a : q.atoms()) atoms.push_back(&a);
-  SearchState st{index,
-                 std::move(atoms),
-                 std::vector<bool>(n, false),
-                 {},
-                 fn,
-                 initial,
-                 std::vector<const Fact*>(n, nullptr),
-                 {},
-                 true};
-  if (mode == MatcherMode::kNaive) {
-    // Static order by selectivity: fewest candidate facts first.
-    st.order.resize(n);
-    for (size_t i = 0; i < n; ++i) st.order[i] = static_cast<int>(i);
-    std::stable_sort(st.order.begin(), st.order.end(),
-                     [&](int a, int b) {
-                       return index.Facts(st.atoms[a]->relation()).size() <
-                              index.Facts(st.atoms[b]->relation()).size();
-                     });
-    SearchNaive(&st, 0);
-  } else {
-    SearchIndexed(&st, n);
-  }
-  return st.completed;
+  return SearchState{index,
+                     std::move(atoms),
+                     std::vector<bool>(n, false),
+                     {},
+                     fn,
+                     initial,
+                     std::vector<const Fact*>(n, nullptr),
+                     {},
+                     true};
+}
+
+/// Adapts a valuation-only callback to the facts-aware search.
+EmbeddingFactsFn IgnoreFacts(
+    const std::function<bool(const Valuation&)>& fn) {
+  return [&fn](const Valuation& val, const std::vector<const Fact*>&) {
+    return fn(val);
+  };
 }
 
 }  // namespace
 
-bool ForEachEmbedding(const FactIndex& index, const Query& q,
-                      const Valuation& initial,
-                      const std::function<bool(const Valuation&)>& fn,
-                      MatcherMode mode) {
-  EmbeddingFactsFn wrapped = [&fn](const Valuation& val,
-                                   const std::vector<const Fact*>&) {
-    return fn(val);
-  };
-  return RunSearch(index, q, initial, wrapped, mode);
+bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
+                           const Valuation& initial,
+                           const EmbeddingFactsFn& fn) {
+  SearchState st = NewSearch(index, q, initial, fn);
+  SearchIndexed(&st, q.atoms().size());
+  return st.completed;
 }
 
 bool ForEachEmbedding(const FactIndex& index, const Query& q,
                       const Valuation& initial,
                       const std::function<bool(const Valuation&)>& fn) {
-  return ForEachEmbedding(index, q, initial, fn, DefaultMatcherMode());
+  return ForEachEmbeddingFacts(index, q, initial, IgnoreFacts(fn));
 }
 
-bool ForEachEmbeddingFacts(const FactIndex& index, const Query& q,
+bool NaiveForEachEmbedding(const FactIndex& index, const Query& q,
                            const Valuation& initial,
-                           const EmbeddingFactsFn& fn) {
-  return RunSearch(index, q, initial, fn, DefaultMatcherMode());
+                           const std::function<bool(const Valuation&)>& fn) {
+  EmbeddingFactsFn wrapped = IgnoreFacts(fn);
+  SearchState st = NewSearch(index, q, initial, wrapped);
+  // Static order by selectivity: fewest candidate facts first.
+  st.order.resize(st.atoms.size());
+  for (size_t i = 0; i < st.order.size(); ++i) {
+    st.order[i] = static_cast<int>(i);
+  }
+  std::stable_sort(st.order.begin(), st.order.end(), [&](int a, int b) {
+    return index.Facts(st.atoms[a]->relation()).size() <
+           index.Facts(st.atoms[b]->relation()).size();
+  });
+  SearchNaive(&st, 0);
+  return st.completed;
 }
 
 bool SatisfiesWith(const FactIndex& index, const Query& q,

@@ -50,10 +50,9 @@
 /// join variable, subsequent atoms are matched by hash lookup on that
 /// binding rather than by scanning their relation.
 ///
-/// The pre-index matcher is retained as `MatcherMode::kNaive` (static
-/// atom order, full relation scans) and serves as the differential-
-/// testing oracle; set CQA_NAIVE_MATCHER=1 to flip the process default
-/// of the `ForEachEmbedding` family.
+/// The pre-index matcher is retained as `NaiveForEachEmbedding` (static
+/// atom order, full relation scans), a reference function that only the
+/// differential tests call.
 ///
 /// ## Candidate enumeration
 ///
@@ -65,20 +64,10 @@
 /// bind. Once every projected variable is bound, the remaining atoms
 /// only need *some* completion: the search stops at the first one, and
 /// an atom whose other positions are variables occurring nowhere else
-/// is decided by its bucket being non-empty. The mode switch above does
-/// not reach it; its oracle is the projection of the naive embeddings,
-/// which the differential tests compute.
+/// is decided by its bucket being non-empty. Its oracle is the projection
+/// of the naive embeddings, which the differential tests compute.
 
 namespace cqa {
-
-/// Candidate selection policy of ForEachEmbedding. kIndexed is the
-/// production path; kNaive is the retained scan-based oracle.
-enum class MatcherMode { kIndexed, kNaive };
-
-/// Process-wide default mode. Initialised once from the CQA_NAIVE_MATCHER
-/// environment variable (unset/"0" -> kIndexed).
-MatcherMode DefaultMatcherMode();
-void SetDefaultMatcherMode(MatcherMode mode);
 
 /// A hash-indexed per-relation view over a set of facts. Used both for
 /// whole databases and for individual repairs (which are just fact
@@ -195,15 +184,18 @@ bool Satisfies(const Repair& repair, const Query& q);
 
 /// Enumerates embeddings θ with θ(q) ⊆ index. The callback returns false
 /// to stop; `initial` seeds the search with pre-bound variables.
-/// Returns true when the enumeration ran to completion. The default mode
-/// overload dispatches on DefaultMatcherMode().
+/// Returns true when the enumeration ran to completion.
 bool ForEachEmbedding(const FactIndex& index, const Query& q,
                       const Valuation& initial,
                       const std::function<bool(const Valuation&)>& fn);
-bool ForEachEmbedding(const FactIndex& index, const Query& q,
-                      const Valuation& initial,
-                      const std::function<bool(const Valuation&)>& fn,
-                      MatcherMode mode);
+
+/// ForEachEmbedding by the retained pre-index matcher: static atom order
+/// by relation size, full relation scans, no index probes. The
+/// differential tests' reference for the indexed search; nothing in the
+/// library calls it.
+bool NaiveForEachEmbedding(const FactIndex& index, const Query& q,
+                           const Valuation& initial,
+                           const std::function<bool(const Valuation&)>& fn);
 
 /// Like ForEachEmbedding, but also hands the callback the matched facts,
 /// aligned with q.atoms(): facts_by_atom[i] == θ(q.atom(i)). Consumers

@@ -1,41 +1,12 @@
 #include "fo/program.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <unordered_map>
 
 namespace cqa {
-
-// --------------------------------------------------------------- mode
-
-namespace {
-
-FoExecMode InitialExecMode() {
-  const char* interp = std::getenv("CQA_FO_INTERPRETER");
-  return interp != nullptr && *interp != '\0' && *interp != '0'
-             ? FoExecMode::kInterpreter
-             : FoExecMode::kProgram;
-}
-
-// Atomic so concurrent serving workers can read the mode while a test
-// harness flips it between phases (mirrors DefaultMatcherMode).
-std::atomic<FoExecMode>& ExecModeSingleton() {
-  static std::atomic<FoExecMode> mode{InitialExecMode()};
-  return mode;
-}
-
-}  // namespace
-
-FoExecMode DefaultFoExecMode() {
-  return ExecModeSingleton().load(std::memory_order_relaxed);
-}
-void SetDefaultFoExecMode(FoExecMode mode) {
-  ExecModeSingleton().store(mode, std::memory_order_relaxed);
-}
 
 // ----------------------------------------------------------- lowering
 

@@ -42,20 +42,11 @@
 /// granularity, so Boolean sentences keep the interpreter's
 /// short-circuit behaviour.
 ///
-/// The tree interpreter stays behind `FoExecMode::kInterpreter` as the
-/// differential-testing oracle, exactly like `MatcherMode::kNaive` for
-/// the matcher.
+/// The tree interpreter (`FoSolver::IsCertainRow`,
+/// `QueryPlan::IsCertainRow`) stays as the per-row differential-testing
+/// oracle, exactly like `NaiveForEachEmbedding` for the matcher.
 
 namespace cqa {
-
-/// Execution policy of compiled FO plans. kProgram is the production
-/// set-at-a-time path; kInterpreter is the retained tree-walking oracle.
-enum class FoExecMode { kProgram, kInterpreter };
-
-/// Process-wide default mode. Initialised once from the
-/// CQA_FO_INTERPRETER environment variable (unset/"0" -> kProgram).
-FoExecMode DefaultFoExecMode();
-void SetDefaultFoExecMode(FoExecMode mode);
 
 class FoProgram {
  public:

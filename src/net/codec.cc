@@ -14,20 +14,6 @@ namespace {
 constexpr uint8_t kMaxKnownStatusCode =
     static_cast<uint8_t>(StatusCode::kResourceExhausted);
 
-/// Resolves `names` into `*ids` with one interner batch, or
-/// ResourceExhausted when a new name meets the interner's cap.
-Status InternNames(const std::vector<std::string_view>& names,
-                   std::vector<SymbolId>* ids) {
-  ids->resize(names.size());
-  Interner& interner = GlobalInterner();
-  if (interner.InternBatch(names.data(), names.size(), ids->data())) {
-    return Status::OK();
-  }
-  return Status::ResourceExhausted(
-      "symbol space exhausted: the server interns no new symbols past its "
-      "cap of " + std::to_string(interner.max_symbols()));
-}
-
 /// A rows field read and validated but not yet resolved: the row widths
 /// and every value, viewing the payload. Nothing is interned until the
 /// whole payload has been accepted.
@@ -106,6 +92,18 @@ Result<T> Finish(Reader* r, T value, const char* what) {
 
 }  // namespace
 
+Status InternNames(const std::vector<std::string_view>& names,
+                   std::vector<SymbolId>* ids) {
+  ids->resize(names.size());
+  Interner& interner = GlobalInterner();
+  if (interner.InternBatch(names.data(), names.size(), ids->data())) {
+    return Status::OK();
+  }
+  return Status::ResourceExhausted(
+      "symbol space exhausted: the server interns no new symbols past its "
+      "cap of " + std::to_string(interner.max_symbols()));
+}
+
 // --------------------------------------------------------------- status
 
 void EncodeStatus(Writer* w, const Status& status) {
@@ -141,27 +139,48 @@ void EncodeQuery(Writer* w, const Query& q) {
 }
 
 Result<Query> DecodeQuery(Reader* r) {
+  // Read and validate every atom first, then intern the relation and
+  // term names in one batch: a rejected query interns nothing.
+  struct AtomShape {
+    uint64_t key_arity;
+    uint64_t arity;
+  };
+  std::vector<AtomShape> shapes;
+  std::vector<std::string_view> names;  // per atom: relation, then terms
+  std::vector<uint8_t> tags;            // per term: 0 variable, 1 constant
   uint64_t natoms = r->Varint();
-  std::vector<Atom> atoms;
   for (uint64_t i = 0; i < natoms && !r->failed(); ++i) {
-    std::string_view relation = r->Str();
+    names.push_back(r->Str());
     uint64_t key_arity = r->Varint();
     uint64_t arity = r->Varint();
     if (r->failed() || arity > kMaxArity || key_arity > arity) {
       return MalformedPayload("atom arity");
     }
-    std::vector<Term> terms;
-    terms.reserve(arity);
+    shapes.push_back({key_arity, arity});
     for (uint64_t j = 0; j < arity; ++j) {
       uint8_t tag = r->U8();
-      std::string_view name = r->Str();
+      names.push_back(r->Str());
       if (r->failed() || tag > 1) return MalformedPayload("term");
-      terms.push_back(tag == 0 ? Term::Var(name) : Term::Const(name));
+      tags.push_back(tag);
     }
-    atoms.emplace_back(InternSymbol(relation), std::move(terms),
-                       static_cast<int>(key_arity));
   }
   if (r->failed()) return MalformedPayload("query");
+  std::vector<SymbolId> ids;
+  CQA_RETURN_NOT_OK(InternNames(names, &ids));
+  std::vector<Atom> atoms;
+  atoms.reserve(shapes.size());
+  const SymbolId* id = ids.data();
+  const uint8_t* tag = tags.data();
+  for (const AtomShape& shape : shapes) {
+    SymbolId relation = *id++;
+    std::vector<Term> terms;
+    terms.reserve(shape.arity);
+    for (uint64_t j = 0; j < shape.arity; ++j, ++id, ++tag) {
+      terms.push_back(*tag == 0 ? Term::Var(*id) : Term::Const(*id));
+    }
+    atoms.emplace_back(relation, std::move(terms),
+                       static_cast<int>(shape.key_arity));
+  }
   return Query(std::move(atoms));
 }
 

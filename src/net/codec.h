@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cq/query.h"
@@ -24,8 +25,8 @@
 ///   * symbols travel as strings and are (re)interned on decode —
 ///     `SymbolId`s never cross a process boundary. A decoder interns
 ///     only after it has read the whole value, in one batch; past the
-///     interner's cap a fact, delta, schema or rows decode answers
-///     ResourceExhausted;
+///     interner's cap a query, fact, delta, schema or rows decode
+///     answers ResourceExhausted;
 ///   * decoders validate EVERYTHING: every length against the remaining
 ///     bytes, every enum tag, and that no trailing bytes remain. A
 ///     malformed payload yields InvalidArgument (never a crash, never
@@ -45,6 +46,14 @@ namespace net {
 /// error still surfaces as an error.
 void EncodeStatus(Writer* w, const Status& status);
 Status DecodeStatus(Reader* r);
+
+// ------------------------------------------------------------ symbols
+
+/// Resolves `names` into `*ids` with one interner batch, or
+/// ResourceExhausted (interning nothing) when a new name meets the
+/// interner's cap. Every decoder resolves its names through it.
+Status InternNames(const std::vector<std::string_view>& names,
+                   std::vector<SymbolId>* ids);
 
 // ---------------------------------------------------- data structures
 

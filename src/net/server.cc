@@ -575,10 +575,13 @@ std::string StatusOnly(const Status& status) {
   return payload;
 }
 
-std::vector<SymbolId> InternAll(const std::vector<std::string>& names) {
+/// Interns a request's free-variable names in one batch;
+/// ResourceExhausted past the interner's cap.
+Result<std::vector<SymbolId>> InternAll(
+    const std::vector<std::string>& names) {
   std::vector<SymbolId> ids;
-  ids.reserve(names.size());
-  for (const std::string& name : names) ids.push_back(InternSymbol(name));
+  CQA_RETURN_NOT_OK(InternNames(
+      std::vector<std::string_view>(names.begin(), names.end()), &ids));
   return ids;
 }
 
@@ -673,8 +676,10 @@ std::string Server::HandleVerb(Verb verb, const std::string& payload,
         }
         popts.force_solver = *kind;
       }
-      Result<PreparedQueryHandle> handle = service_->Prepare(
-          req->query, InternAll(req->free_vars), popts);
+      Result<std::vector<SymbolId>> free_vars = InternAll(req->free_vars);
+      if (!free_vars.ok()) return StatusOnly(free_vars.status());
+      Result<PreparedQueryHandle> handle =
+          service_->Prepare(req->query, *free_vars, popts);
       if (!handle.ok()) return StatusOnly(handle.status());
       RememberPrepared(*handle);
       PrepareResponse resp;
@@ -769,7 +774,9 @@ std::string Server::HandleVerb(Verb verb, const std::string& payload,
         creq.prepared = *handle;
       }
       creq.query = std::move(call->query);
-      creq.free_vars = InternAll(call->free_vars);
+      Result<std::vector<SymbolId>> free_vars = InternAll(call->free_vars);
+      if (!free_vars.ok()) return StatusOnly(free_vars.status());
+      creq.free_vars = std::move(free_vars).value();
       creq.page_size = static_cast<size_t>(call->page_size);
       creq.page_token = std::move(call->page_token);
       creq.deadline = deadline;

@@ -24,11 +24,6 @@ PlanCache::PlanCache(const Options& options)
           std::max<size_t>(1, options.capacity / EffectiveShards(options))),
       shards_(EffectiveShards(options)) {}
 
-PlanCache& PlanCache::Global() {
-  static PlanCache* cache = new PlanCache();
-  return *cache;
-}
-
 PlanCache::Shard& PlanCache::ShardFor(uint64_t hash) const {
   return shards_[hash % shards_.size()];
 }

@@ -53,9 +53,6 @@ class PlanCache {
   PlanCache() : PlanCache(Options()) {}
   explicit PlanCache(const Options& options);
 
-  /// The process-wide cache used by Engine's one-shot entry points.
-  static PlanCache& Global();
-
   /// The plan for `q`, compiling on miss. Compile failures are returned
   /// AND cached (negative entries), so repeated malformed queries skip
   /// recompilation.

@@ -50,7 +50,12 @@ Status ValidateFreeVars(const Query& q,
   return Status::OK();
 }
 
-const FoSolver* QueryPlan::fo_solver() const { return fo_; }
+const FoSolver* QueryPlan::fo_solver() const {
+  // MakeSolver is a closed switch: a kFoRewriting solver is an FoSolver.
+  return kind_ == SolverKind::kFoRewriting
+             ? static_cast<const FoSolver*>(solver_.get())
+             : nullptr;
+}
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(const Query& q) {
   return CompileCanonical(Canonicalize(q));
@@ -64,84 +69,7 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
     CanonicalQuery canonical) {
-  std::shared_ptr<QueryPlan> plan(new QueryPlan());
-  plan->canonical_ = std::move(canonical);
-  const CanonicalQuery& c = plan->canonical_;
-  // Free-variable occurrence is validated against the ORIGINAL query
-  // (ValidateFreeVars, run by Compile and by the PlanCache) — the
-  // canonical form cannot express it: a duplicated free variable is
-  // legal but leaves its later #p_i placeholders without occurrences.
-  Result<Classification> cls = ClassifyQuery(
-      c.params.empty() ? c.query : FreezeParams(c.query, c.params));
-  if (!cls.ok()) {
-    // Unsupported fragment (self-join, non-C(k) cyclic query): compile
-    // to the sound-and-complete SAT search, but report the failure cause
-    // for genuinely malformed queries.
-    if (cls.status().code() != StatusCode::kUnsupported) {
-      return cls.status();
-    }
-    plan->complexity_ = ComplexityClass::kOpenConjecturedPtime;
-    plan->kind_ = SolverKind::kSat;
-    if (c.params.empty()) {
-      Result<std::unique_ptr<Solver>> solver =
-          SolverRegistry::Global().Create(SolverKind::kSat, c.query);
-      if (!solver.ok()) return solver.status();
-      plan->solver_ = std::move(solver).value();
-    } else {
-      plan->row_factory_ = SolverRegistry::Global().Factory(SolverKind::kSat);
-    }
-    return std::shared_ptr<const QueryPlan>(std::move(plan));
-  }
-
-  plan->classification_ = *cls;
-  plan->complexity_ = cls->complexity;
-  plan->kind_ = KindForComplexity(cls->complexity);
-
-  if (plan->kind_ == SolverKind::kFoRewriting) {
-    // The rewriting is compiled over the *unfrozen* canonical query with
-    // the parameters kept free, so one formula serves every binding.
-    VarSet params(c.params.begin(), c.params.end());
-    Result<std::unique_ptr<Solver>> solver = SolverRegistry::Global().Create(
-        SolverKind::kFoRewriting, c.query, params);
-    if (!solver.ok()) return solver.status();
-    plan->solver_ = std::move(solver).value();
-    // dynamic_cast, resolved once: the registry allows substituting the
-    // kFoRewriting factory with a non-FoSolver implementation; such
-    // plans take the generic row path instead of invoking
-    // FoSolver::IsCertainRow on a stranger.
-    plan->fo_ = dynamic_cast<const FoSolver*>(plan->solver_.get());
-    if (plan->fo_ != nullptr) {
-      if (c.params.empty()) {
-        plan->fo_program_ = plan->fo_->program();
-      } else {
-        // The solver's own program orders parameters by SymbolId; the
-        // plan's rows arrive in canonical positional order, so lower a
-        // second program over the same (shared) rewriting with the
-        // positional parameter list. Lowering a rewriting cannot fail.
-        Result<FoProgram> program =
-            FoProgram::Lower(plan->fo_->rewriting(), c.params);
-        if (!program.ok()) return program.status();
-        plan->fo_program_ =
-            std::make_shared<const FoProgram>(std::move(*program));
-      }
-    }
-    if (!c.params.empty()) {
-      // Row fallback for substituted (non-FoSolver) implementations.
-      plan->row_factory_ =
-          SolverRegistry::Global().Factory(SolverKind::kFoRewriting);
-    }
-  } else if (c.params.empty()) {
-    Result<std::unique_ptr<Solver>> solver =
-        SolverRegistry::Global().Create(plan->kind_, c.query);
-    if (!solver.ok()) return solver.status();
-    plan->solver_ = std::move(solver).value();
-  } else {
-    // Parameterized non-FO plans keep solver_ null: rows are decided by
-    // grounding the canonical query (IsCertainRow) through the factory
-    // captured here, off the registry lock.
-    plan->row_factory_ = SolverRegistry::Global().Factory(plan->kind_);
-  }
-  return std::shared_ptr<const QueryPlan>(std::move(plan));
+  return Build(std::move(canonical), std::nullopt);
 }
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
@@ -151,29 +79,64 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
     return Status::InvalidArgument(
         "solver override requires a Boolean query");
   }
-  std::shared_ptr<QueryPlan> plan(new QueryPlan());
-  plan->canonical_ = std::move(canonical);
   // Tag the key: everything keyed by cache_key() — the Service's
   // prepared-handle dedup AND the session answer cache — must keep a
   // forced plan's results apart from the classifier-chosen plan's.
-  plan->canonical_.key += std::string(";solver=") + ToString(kind);
+  canonical.key += std::string(";solver=") + ToString(kind);
+  return Build(std::move(canonical), kind);
+}
+
+Result<std::shared_ptr<const QueryPlan>> QueryPlan::Build(
+    CanonicalQuery canonical, std::optional<SolverKind> forced) {
+  std::shared_ptr<QueryPlan> plan(new QueryPlan());
+  plan->canonical_ = std::move(canonical);
   const CanonicalQuery& c = plan->canonical_;
-  Result<Classification> cls = ClassifyQuery(c.query);
+  // Free-variable occurrence is validated against the ORIGINAL query
+  // (ValidateFreeVars, run by Compile and by the PlanCache) — the
+  // canonical form cannot express it: a duplicated free variable is
+  // legal but leaves its later #p_i placeholders without occurrences.
+  Result<Classification> cls = ClassifyQuery(
+      c.params.empty() ? c.query : FreezeParams(c.query, c.params));
   if (cls.ok()) {
     plan->classification_ = *cls;
     plan->complexity_ = cls->complexity;
   } else if (cls.status().code() != StatusCode::kUnsupported) {
     return cls.status();
-  } else {
-    plan->complexity_ = ComplexityClass::kOpenConjecturedPtime;
   }
-  plan->kind_ = kind;
+  // An unsupported fragment (self-join, non-C(k) cyclic query) keeps
+  // kOpenConjecturedPtime and compiles to the sound-and-complete SAT
+  // search.
+  plan->kind_ = forced.value_or(KindForComplexity(plan->complexity_));
+
+  if (plan->kind_ != SolverKind::kFoRewriting) {
+    // Parameterized non-FO plans keep solver_ null: rows are decided by
+    // grounding the canonical query (IsCertainRow).
+    if (c.params.empty()) {
+      Result<std::unique_ptr<Solver>> solver = MakeSolver(plan->kind_, c.query);
+      if (!solver.ok()) return solver.status();
+      plan->solver_ = std::move(solver).value();
+    }
+    return std::shared_ptr<const QueryPlan>(std::move(plan));
+  }
+  // The rewriting is compiled over the *unfrozen* canonical query with
+  // the parameters kept free, so one formula serves every binding.
+  VarSet params(c.params.begin(), c.params.end());
   Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::Global().Create(kind, c.query);
+      MakeSolver(SolverKind::kFoRewriting, c.query, params);
   if (!solver.ok()) return solver.status();
   plan->solver_ = std::move(solver).value();
-  plan->fo_ = dynamic_cast<const FoSolver*>(plan->solver_.get());
-  if (plan->fo_ != nullptr) plan->fo_program_ = plan->fo_->program();
+  const FoSolver* fo = plan->fo_solver();
+  if (c.params.empty()) {
+    plan->fo_program_ = fo->program();
+  } else {
+    // The solver's own program orders parameters by SymbolId; the
+    // plan's rows arrive in canonical positional order, so lower a
+    // second program over the same (shared) rewriting with the
+    // positional parameter list. Lowering a rewriting cannot fail.
+    Result<FoProgram> program = FoProgram::Lower(fo->rewriting(), c.params);
+    if (!program.ok()) return program.status();
+    plan->fo_program_ = std::make_shared<const FoProgram>(std::move(*program));
+  }
   return std::shared_ptr<const QueryPlan>(std::move(plan));
 }
 
@@ -232,7 +195,7 @@ Status QueryPlan::IsCertainRowSpan(
       return Status::InvalidArgument("row arity does not match plan params");
     }
   }
-  if (fo_program_ != nullptr && DefaultFoExecMode() == FoExecMode::kProgram) {
+  if (fo_program_ != nullptr) {
     static const std::vector<SymbolId> kNoAdom;
     const std::vector<SymbolId>& adom =
         fo_program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;
@@ -242,8 +205,7 @@ Status QueryPlan::IsCertainRowSpan(
     std::copy(mask->begin(), mask->end(), out->begin() + begin);
     return Status::OK();
   }
-  // Row-at-a-time fallback: non-FO plans, substituted FO
-  // implementations, and the interpreter oracle mode. Rows here can be
+  // Row-at-a-time path of the non-FO plans. Rows here can be
   // arbitrarily expensive (grounded SAT calls), so the deadline is
   // polled before every row.
   for (size_t i = begin; i < end; ++i) {
@@ -276,17 +238,14 @@ Result<bool> QueryPlan::IsCertainRow(
   for (size_t i = 0; i < row.size(); ++i) {
     ground = ground.Substitute(canonical_.params[i], row[i]);
   }
-  if (row_factory_) {
-    // The compiled kind, built through the factory captured at compile
-    // time (no registry lock per row); for kSat this is exact and
-    // never fails — which also covers the unsupported fragments.
-    Result<std::unique_ptr<Solver>> solver = row_factory_(ground, {});
-    if (solver.ok()) {
-      Result<bool> r = (*solver)->IsCertain(ctx);
-      if (r.ok()) return r;
-      // Precondition drifted under grounding (substitution can merge
-      // atoms); fall through to the full dispatch.
-    }
+  // The compiled kind decides the ground row; for kSat this is exact
+  // and never fails — which also covers the unsupported fragments.
+  Result<std::unique_ptr<Solver>> solver = MakeSolver(kind_, ground);
+  if (solver.ok()) {
+    Result<bool> r = (*solver)->IsCertain(ctx);
+    if (r.ok()) return r;
+    // Precondition drifted under grounding (substitution can merge
+    // atoms); fall through to the full dispatch.
   }
   // Full re-compile of the ground row query — reproduces the complete
   // dispatch, including the SAT fallback for unsupported fragments.

@@ -77,7 +77,7 @@ class QueryPlan {
   /// `kind` instead of the classifier's choice. Classification still
   /// runs (the plan keeps its diagnostics and true complexity); only
   /// the solver is overridden. This is how `Service` prepared handles
-  /// reach every registered solver — e.g. pinning `SolverKind::kOracle`
+  /// reach every solver kind — e.g. pinning `SolverKind::kOracle`
   /// to cross-check production answers against repair enumeration, or
   /// `kSat` to exercise the fallback on a tractable query. Fails when
   /// `kind` cannot decide the query (e.g. forcing `kFoRewriting` onto a
@@ -103,15 +103,13 @@ class QueryPlan {
   /// The compiled solver instance. Null only for parameterized non-FO
   /// plans (their rows are decided by grounding, see IsCertainRow).
   const Solver* solver() const { return solver_.get(); }
-  /// The parameterized FO rewriting, when this is an FO plan built from
-  /// the stock FoSolver (null when a substituted registry factory
-  /// produced something else — those plans use the generic row path).
+  /// The FO rewriting's solver; null exactly for non-FO plans.
   const FoSolver* fo_solver() const;
 
   /// The compiled set-at-a-time FO program (parameters positionally
-  /// aligned with canonical().params). Null for non-FO / substituted
-  /// plans. This is what execution backends lower to SQL (fo/sql_lower.h)
-  /// — a null program means the plan cannot be pushed down natively.
+  /// aligned with canonical().params). Null exactly for non-FO plans.
+  /// This is what execution backends lower to SQL (fo/sql_lower.h) — a
+  /// null program means the plan cannot be pushed down natively.
   const std::shared_ptr<const FoProgram>& fo_program() const {
     return fo_program_;
   }
@@ -142,9 +140,8 @@ class QueryPlan {
   /// Batch row decision, positionally aligned with `rows`. FO plans run
   /// the compiled set-at-a-time program (fo/program.h): every row is
   /// decided in ONE pass over the context's FactIndex, with indexed
-  /// probes instead of per-row relation scans. Non-FO plans (and FO
-  /// plans under FoExecMode::kInterpreter) fall back to IsCertainRow
-  /// per row.
+  /// probes instead of per-row relation scans. Non-FO plans decide row
+  /// by row through IsCertainRow.
   Result<std::vector<char>> IsCertainRows(
       EvalContext& ctx, const std::vector<std::vector<SymbolId>>& rows,
       const Deadline& deadline = Deadline()) const;
@@ -167,22 +164,21 @@ class QueryPlan {
  private:
   QueryPlan() = default;
 
+  /// Classifies the canonical query and builds the solver: the
+  /// classifier's kind, or `forced` when set (CompileForcedSolver).
+  static Result<std::shared_ptr<const QueryPlan>> Build(
+      CanonicalQuery canonical, std::optional<SolverKind> forced);
+
   CanonicalQuery canonical_;
   std::optional<Classification> classification_;
   ComplexityClass complexity_ = ComplexityClass::kOpenConjecturedPtime;
   SolverKind kind_ = SolverKind::kSat;
   std::unique_ptr<const Solver> solver_;
-  /// The FoSolver view of solver_, resolved once at compile time (null
-  /// for non-FO plans and for substituted FO implementations).
-  const FoSolver* fo_ = nullptr;
   /// The set-at-a-time program, cached alongside the rewriting: for
   /// Boolean FO plans the solver's own program, for parameterized FO
   /// plans a lowering whose parameters follow the plan's positional
-  /// order (canonical_.params). Null for non-FO / substituted plans.
+  /// order (canonical_.params). Null for non-FO plans.
   std::shared_ptr<const FoProgram> fo_program_;
-  /// Captured at compile time for parameterized non-FO plans: builds
-  /// the per-row solver without touching the registry mutex per row.
-  SolverFactory row_factory_;
 };
 
 }  // namespace cqa

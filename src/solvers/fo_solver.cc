@@ -23,15 +23,16 @@ Result<FoSolver> FoSolver::Create(const Query& q, const VarSet& params) {
 }
 
 Result<SolverCall> FoSolver::Decide(EvalContext& ctx) const {
-  SolverCall call;
-  if (DefaultFoExecMode() == FoExecMode::kProgram && program_->params().empty()) {
-    static const std::vector<SymbolId> kNoAdom;
-    const std::vector<SymbolId>& adom =
-        program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;
-    call.certain = program_->EvaluateBool(ctx.fact_index(), adom);
-  } else {
-    call.certain = ctx.evaluator().Eval(rewriting_);
+  if (!program_->params().empty()) {
+    return Status::InvalidArgument(
+        "parameterized FO rewriting has no Boolean answer; decide rows "
+        "through QueryPlan::IsCertainRows");
   }
+  static const std::vector<SymbolId> kNoAdom;
+  const std::vector<SymbolId>& adom =
+      program_->needs_adom() ? ctx.evaluator().adom() : kNoAdom;
+  SolverCall call;
+  call.certain = program_->EvaluateBool(ctx.fact_index(), adom);
   return call;
 }
 

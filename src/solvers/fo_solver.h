@@ -22,10 +22,9 @@
 /// QueryPlan compile path for non-Boolean queries).
 ///
 /// Create also lowers the rewriting into a set-at-a-time `FoProgram`
-/// (fo/program.h). `Decide` runs the program by default and the tree
-/// interpreter under `FoExecMode::kInterpreter`; `IsCertainRow` is
-/// always the tree interpreter — it is the per-row differential oracle
-/// the program executor is tested against.
+/// (fo/program.h), which `Decide` runs. `IsCertainRow` is the tree
+/// interpreter — the per-row differential oracle the program executor
+/// is tested against.
 
 namespace cqa {
 
@@ -41,10 +40,10 @@ class FoSolver final : public Solver {
 
   SolverKind kind() const override { return SolverKind::kFoRewriting; }
 
-  /// db ∈ CERTAINTY(q), by compiled-program execution (or formula
-  /// interpretation under FoExecMode::kInterpreter) — polynomial time.
-  /// Reuses the context's shared index (one FactIndex per database, not
-  /// per call).
+  /// db ∈ CERTAINTY(q), by compiled-program execution — polynomial
+  /// time. Reuses the context's shared index (one FactIndex per
+  /// database, not per call). A parameterized solver has no Boolean
+  /// answer: its rows go through QueryPlan::IsCertainRows.
   Result<SolverCall> Decide(EvalContext& ctx) const override;
 
   /// db ∈ CERTAINTY(θ(q)) for the parameter binding θ, by tree

@@ -3,10 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <string_view>
@@ -25,10 +22,9 @@
 /// are immutable after construction and safe to share across threads —
 /// this is what lets a compiled `QueryPlan` serve concurrent traffic.
 ///
-/// Solvers are created through the `SolverRegistry`, keyed by
-/// `SolverKind`; the registry is how the plan compiler maps a complexity
-/// class to an implementation, and how tests substitute instrumented
-/// solvers without touching the dispatch.
+/// Solvers are created by `MakeSolver`, one closed switch over
+/// `SolverKind`: the plan compiler maps a complexity class to a kind, and
+/// the kind alone fixes the implementation.
 ///
 /// `EvalContext` bundles the per-thread evaluation state (a lazily built
 /// `FactIndex` and `FormulaEvaluator` for one database) so a batch worker
@@ -177,44 +173,13 @@ class Solver {
   mutable SolverStats stats_;
 };
 
-/// Factory: builds a solver of some kind for `q`. `params` is only
-/// meaningful for compile-time-parameterized solvers (the FO rewriting);
-/// the rest ignore it. Construction is cheap for the P-time solvers
-/// (validation happens at Decide time); the FO factory runs the rewriter
-/// and fails on cyclic attack graphs.
-using SolverFactory = std::function<Result<std::unique_ptr<Solver>>(
-    const Query& q, const VarSet& params)>;
-
-/// Registry of solver implementations, keyed by SolverKind. The global
-/// registry comes pre-populated with the library's six solvers; tests and
-/// extensions may re-register a kind to substitute an implementation.
-class SolverRegistry {
- public:
-  /// The process-wide registry with the built-ins registered.
-  static SolverRegistry& Global();
-
-  /// Registers (or replaces) the factory for `kind`.
-  void Register(SolverKind kind, SolverFactory factory);
-
-  /// Builds a solver for `q`. Fails when no factory is registered or the
-  /// factory rejects the query.
-  Result<std::unique_ptr<Solver>> Create(SolverKind kind, const Query& q,
-                                         const VarSet& params = {}) const;
-
-  /// The registered factory for `kind` (empty when none). Lets a plan
-  /// capture the factory once at compile time instead of taking the
-  /// registry lock on every per-row Create.
-  SolverFactory Factory(SolverKind kind) const;
-
-  /// Registered kinds, in enum order.
-  std::vector<SolverKind> kinds() const;
-
- private:
-  SolverRegistry();
-
-  mutable std::mutex mu_;
-  std::map<SolverKind, SolverFactory> factories_;
-};
+/// Builds the solver of `kind` for `q`. `params` is only meaningful for
+/// the compile-time-parameterized FO rewriting; the rest ignore it.
+/// Construction is cheap for the P-time solvers (validation happens at
+/// Decide time); the FO rewriting is computed here and fails on cyclic
+/// attack graphs.
+Result<std::unique_ptr<Solver>> MakeSolver(SolverKind kind, const Query& q,
+                                           const VarSet& params = {});
 
 }  // namespace cqa
 

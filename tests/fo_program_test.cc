@@ -26,18 +26,6 @@
 namespace cqa {
 namespace {
 
-/// Restores the process default execution mode on scope exit.
-class ScopedExecMode {
- public:
-  explicit ScopedExecMode(FoExecMode mode) : saved_(DefaultFoExecMode()) {
-    SetDefaultFoExecMode(mode);
-  }
-  ~ScopedExecMode() { SetDefaultFoExecMode(saved_); }
-
- private:
-  FoExecMode saved_;
-};
-
 /// Program-vs-interpreter check of a (formula, params) pair over `db`:
 /// Boolean when rows is empty-of-columns, else one batched EvaluateRows
 /// against a per-row interpreter loop.
@@ -136,8 +124,9 @@ TEST_P(ProgramDifferential, ParameterizedRewritingsDecideRowBatches) {
 
 TEST_P(ProgramDifferential, CorpusFoQueriesEndToEnd) {
   // The FO-rewritable subset of the named corpus, end to end through
-  // the plan layer: testutil::CertainAnswers under the program must equal
-  // testutil::CertainAnswers under the interpreter oracle.
+  // the plan layer: testutil::CertainAnswers (the program, via
+  // IsCertainRows or Solve) must keep exactly the possible answers the
+  // tree interpreter (the per-row oracle IsCertainRow) keeps.
   for (const auto& [name, q] : corpus::AllNamedQueries()) {
     if (!CertainRewriting(q).ok()) continue;  // not FO-rewritable
     BlockDbGenOptions bopts;
@@ -150,28 +139,36 @@ TEST_P(ProgramDifferential, CorpusFoQueriesEndToEnd) {
     std::vector<SymbolId> free_vars;
     if (!vars.empty()) free_vars.push_back(*vars.begin());
 
-    std::vector<std::vector<SymbolId>> with_program;
+    auto with_program = testutil::CertainAnswers(db, q, free_vars);
+    ASSERT_TRUE(with_program.ok()) << name << ": " << with_program.status();
+
+    auto plan = testutil::CompilePlan(q, free_vars);
+    ASSERT_TRUE(plan.ok()) << name << ": " << plan.status();
+    const FoSolver* fo = (*plan)->fo_solver();
+    ASSERT_NE(fo, nullptr) << name;
+    auto possible = testutil::PossibleAnswers(db, q, free_vars);
+    ASSERT_TRUE(possible.ok()) << name << ": " << possible.status();
+    EvalContext ctx(db);
     std::vector<std::vector<SymbolId>> with_interpreter;
-    {
-      ScopedExecMode mode(FoExecMode::kProgram);
-      auto rows = testutil::CertainAnswers(db, q, free_vars);
-      ASSERT_TRUE(rows.ok()) << name << ": " << rows.status();
-      with_program = *rows;
+    for (const std::vector<SymbolId>& row : *possible) {
+      bool certain = false;
+      if (free_vars.empty()) {
+        certain = fo->IsCertainRow(ctx.evaluator(), Valuation());
+      } else {
+        Result<bool> r = (*plan)->IsCertainRow(ctx, row);
+        ASSERT_TRUE(r.ok()) << name << ": " << r.status();
+        certain = *r;
+      }
+      if (certain) with_interpreter.push_back(row);
     }
-    {
-      ScopedExecMode mode(FoExecMode::kInterpreter);
-      auto rows = testutil::CertainAnswers(db, q, free_vars);
-      ASSERT_TRUE(rows.ok()) << name << ": " << rows.status();
-      with_interpreter = *rows;
-    }
-    EXPECT_EQ(with_program, with_interpreter) << name << "\n"
-                                              << db.ToString();
+    EXPECT_EQ(*with_program, with_interpreter) << name << "\n"
+                                               << db.ToString();
   }
 }
 
 // 120 seeds x (2 boolean + 1 parameterized batch + corpus sweep), on
-// top of every FO decision the rest of the suite now routes through the
-// program by default.
+// top of every FO decision the rest of the suite routes through the
+// program.
 INSTANTIATE_TEST_SUITE_P(Seeds, ProgramDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{121}));
 

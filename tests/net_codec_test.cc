@@ -713,6 +713,61 @@ TEST(CodecSymbolCapTest, NewSymbolsPastTheCapAreRefused) {
   EXPECT_TRUE(DecodeCreateDatabaseRequest(&k).ok());
 }
 
+TEST(CodecSymbolCapTest, QueryNamesAndFreeVariablesPastTheCapAreRefused) {
+  // A query over known names, then the same shape with a fresh constant,
+  // a fresh variable and a fresh relation, all written by hand.
+  auto query_bytes = [](const std::string& relation, const std::string& var,
+                        const std::string& constant) {
+    std::string out;
+    Writer w(&out);
+    w.Varint(1);  // one atom
+    w.Str(relation);
+    w.Varint(1);  // key arity
+    w.Varint(2);  // arity
+    w.U8(0);
+    w.Str(var);
+    w.U8(1);
+    w.Str(constant);
+    return out;
+  };
+  for (const char* name : {"Rcapq", "xcapq", "kcapq"}) InternSymbol(name);
+  std::string known = query_bytes("Rcapq", "xcapq", "kcapq");
+  std::string fresh_constant = query_bytes("Rcapq", "xcapq", "cap-fresh-c");
+  std::string fresh_variable = query_bytes("Rcapq", "cap-fresh-v", "kcapq");
+  std::string fresh_relation = query_bytes("cap-fresh-r", "xcapq", "kcapq");
+  // A Prepare over the known query whose free variable is fresh: the
+  // request decodes (free variables travel as strings), and the server
+  // resolves them through InternNames.
+  std::string prepare = known;
+  Writer pw(&prepare);
+  pw.Varint(1);
+  pw.Str("cap-fresh-free-var");
+  pw.Str("");
+
+  FullSymbolSpace full;
+  size_t before = GlobalInterner().size();
+  for (const std::string* bytes :
+       {&fresh_constant, &fresh_variable, &fresh_relation}) {
+    Reader r(*bytes);
+    EXPECT_EQ(DecodeQuery(&r).status().code(),
+              StatusCode::kResourceExhausted);
+  }
+  Reader pr(prepare);
+  Result<PrepareRequest> req = DecodePrepareRequest(&pr);
+  ASSERT_TRUE(req.ok()) << req.status();
+  std::vector<SymbolId> ids;
+  EXPECT_EQ(InternNames({req->free_vars[0]}, &ids).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(GlobalInterner().size(), before);
+  // Known names still resolve.
+  Reader k(known);
+  Result<Query> q = DecodeQuery(&k);
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->atoms()[0].relation(), InternSymbol("Rcapq"));
+  EXPECT_TRUE(InternNames({"xcapq"}, &ids).ok());
+  EXPECT_EQ(ids, std::vector<SymbolId>{InternSymbol("xcapq")});
+}
+
 // ---------------------------------------------------------------- metrics
 
 TEST(MetricsRenderTest, PrometheusTextExposition) {

@@ -285,6 +285,51 @@ TEST_F(WireServerTest, RequestLevelErrorsKeepTheConnectionUsable) {
   EXPECT_EQ(server_->counters().protocol_errors, 0u);
 }
 
+TEST_F(WireServerTest, FreshNamesPastTheSymbolCapAreRefused) {
+  StartServer();
+  ASSERT_TRUE(client_.CreateDatabase("db", DemoDatabase()).ok());
+  // An ad-hoc Solve whose query carries a constant nobody interned yet,
+  // written by hand so the client side interns nothing either.
+  std::string solve;
+  Writer w(&solve);
+  w.Str("db");
+  w.Str("");      // no prepared id
+  w.Bool(true);   // ad-hoc query follows
+  w.Varint(1);
+  w.Str("R");
+  w.Varint(1);
+  w.Varint(2);
+  w.U8(1);
+  w.Str("k2");
+  w.U8(1);
+  w.Str("server-cap-fresh-constant");
+  PrepareRequest prepare{PagingQuery(), {"server-cap-fresh-var"}, ""};
+  CertainAnswersCall answers;
+  answers.database = "db";
+  answers.query = PagingQuery();
+  answers.free_vars = {"server-cap-fresh-var"};
+  SolveCall known_solve{"db", "", CertainBoolQuery()};
+  // Compiling a plan interns names of its own (the rewriting's fresh
+  // variables), so the known query is compiled before the cap drops.
+  ASSERT_TRUE(client_.Solve(known_solve).ok());
+
+  Interner& interner = GlobalInterner();
+  size_t saved = interner.max_symbols();
+  interner.set_max_symbols(interner.size());
+  std::string body;
+  EXPECT_EQ(client_.Call(Verb::kSolve, solve, &body).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(client_.Prepare(prepare).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(client_.CertainAnswers(answers).status().code(),
+            StatusCode::kResourceExhausted);
+  // The server is still up and serves known names.
+  Result<SolveReply> known = client_.Solve(known_solve);
+  interner.set_max_symbols(saved);
+  ASSERT_TRUE(known.ok()) << known.status();
+  EXPECT_TRUE(known->certain);
+}
+
 TEST_F(WireServerTest, FramingErrorIsConnectionFatalWithTerminalNotice) {
   StartServer();
   ASSERT_TRUE(client_.SendRaw("XXXX not a frame").ok());

@@ -324,24 +324,53 @@ TEST(PlanCacheTest, NegativeEntriesAreEvictedBeforePlans) {
   EXPECT_EQ(cache.Snapshot().negative_entries, 1u);
 }
 
-TEST(SolverRegistryTest, BuildsEveryKindAndRoundTripsNames) {
-  for (SolverKind kind : SolverRegistry::Global().kinds()) {
+TEST(MakeSolverTest, BuildsEveryKindAndRoundTripsNames) {
+  // Every SolverKind enumerator, in declaration order.
+  for (SolverKind kind :
+       {SolverKind::kFoRewriting, SolverKind::kTerminalCycles,
+        SolverKind::kAck, SolverKind::kCk, SolverKind::kSat,
+        SolverKind::kOracle}) {
     EXPECT_EQ(SolverKindFromString(ToString(kind)), kind);
+    Result<std::unique_ptr<Solver>> solver =
+        MakeSolver(kind, corpus::ConferenceQuery());
+    ASSERT_TRUE(solver.ok()) << kind << ": " << solver.status();
+    EXPECT_EQ((*solver)->kind(), kind);
+    EXPECT_EQ((*solver)->name(), ToString(kind));
   }
-  Result<std::unique_ptr<Solver>> sat =
-      SolverRegistry::Global().Create(SolverKind::kSat, corpus::Q0());
+  Result<std::unique_ptr<Solver>> sat = MakeSolver(SolverKind::kSat,
+                                                   corpus::Q0());
   ASSERT_TRUE(sat.ok());
   EXPECT_EQ((*sat)->kind(), SolverKind::kSat);
   EXPECT_EQ((*sat)->name(), "sat");
-  // The FO factory validates at compile time: cyclic attack graph fails.
-  EXPECT_FALSE(SolverRegistry::Global()
-                   .Create(SolverKind::kFoRewriting, corpus::Q1())
-                   .ok());
-  Result<std::unique_ptr<Solver>> fo = SolverRegistry::Global().Create(
-      SolverKind::kFoRewriting, corpus::ConferenceQuery());
+  // The FO rewriting is computed at construction: a cyclic attack graph
+  // fails.
+  EXPECT_FALSE(MakeSolver(SolverKind::kFoRewriting, corpus::Q1()).ok());
+  Result<std::unique_ptr<Solver>> fo =
+      MakeSolver(SolverKind::kFoRewriting, corpus::ConferenceQuery());
   ASSERT_TRUE(fo.ok());
   EXPECT_FALSE(
       *(*fo)->IsCertain(corpus::ConferenceDatabase()));
+}
+
+TEST(QueryPlanTest, FoProgramIsNullExactlyForNonFoPlans) {
+  // The solver follows from the classification alone, so every FO plan,
+  // Boolean or parameterized, carries its set-at-a-time program.
+  int fo_plans = 0;
+  for (const auto& [name, q] : corpus::AllNamedQueries()) {
+    std::vector<std::vector<SymbolId>> free_var_lists = {{}};
+    VarSet vars = q.Vars();
+    if (!vars.empty()) free_var_lists.push_back({*vars.begin()});
+    for (const std::vector<SymbolId>& free_vars : free_var_lists) {
+      Result<std::shared_ptr<const QueryPlan>> plan =
+          QueryPlan::Compile(q, free_vars);
+      ASSERT_TRUE(plan.ok()) << name << ": " << plan.status();
+      bool fo = (*plan)->solver_kind() == SolverKind::kFoRewriting;
+      fo_plans += fo ? 1 : 0;
+      EXPECT_EQ((*plan)->fo_program() != nullptr, fo) << name;
+      EXPECT_EQ((*plan)->fo_solver() != nullptr, fo) << name;
+    }
+  }
+  EXPECT_GT(fo_plans, 0);
 }
 
 TEST(QueryPlanTest, ParameterizedPlanMatchesGroundSolve) {

@@ -18,17 +18,24 @@
 /// plan layer (PlanCache + QueryPlan + matcher) — the same machinery
 /// `cqa::Service` serves through, without a registry or a session.
 /// These replace the deleted `Engine` shim in the differential tests:
-/// each helper compiles through the global plan cache and evaluates the
-/// plan against a transient context — or, for the Session* helpers,
-/// serves it through a session's plan-resolved entry points.
+/// each helper compiles through one plan cache per test binary
+/// (`SharedPlanCache`) and evaluates the plan against a transient
+/// context — or, for the Session* helpers, serves it through a
+/// session's plan-resolved entry points.
 
 namespace cqa {
 namespace testutil {
 
+/// The plan cache every helper of one test binary compiles through.
+inline PlanCache& SharedPlanCache() {
+  static PlanCache cache;
+  return cache;
+}
+
 inline Result<std::shared_ptr<const QueryPlan>> CompilePlan(
     const Query& q, const std::vector<SymbolId>& free_vars = {}) {
-  return free_vars.empty() ? PlanCache::Global().GetOrCompile(q)
-                           : PlanCache::Global().GetOrCompile(q, free_vars);
+  return free_vars.empty() ? SharedPlanCache().GetOrCompile(q)
+                           : SharedPlanCache().GetOrCompile(q, free_vars);
 }
 
 inline Result<SolveOutcome> Solve(const Database& db, const Query& q) {

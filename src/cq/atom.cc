@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <sstream>
-#include <unordered_map>
 
 namespace cqa {
 
@@ -43,14 +42,6 @@ VarSet Atom::Vars() const {
   return out;
 }
 
-VarSet Atom::NonKeyVars() const {
-  VarSet out;
-  for (int i = key_arity_; i < arity(); ++i) {
-    if (terms_[i].is_var()) out.insert(terms_[i].id());
-  }
-  return out;
-}
-
 bool Atom::IsGround() const {
   for (const Term& t : terms_) {
     if (t.is_var()) return false;
@@ -84,15 +75,13 @@ Fact Atom::ToFact() const {
 
 bool Atom::Matches(const Fact& fact) const {
   if (fact.relation() != relation_ || fact.arity() != arity()) return false;
-  std::unordered_map<SymbolId, SymbolId> binding;
+  const std::vector<SymbolId>& v = fact.values();
   for (int i = 0; i < arity(); ++i) {
-    const Term& t = terms_[i];
-    SymbolId v = fact.values()[i];
-    if (t.is_const()) {
-      if (t.id() != v) return false;
-    } else {
-      auto [it, inserted] = binding.emplace(t.id(), v);
-      if (!inserted && it->second != v) return false;
+    // A variable must repeat the value at its first occurrence.
+    int first = 0;
+    while (terms_[i].is_var() && terms_[first] != terms_[i]) ++first;
+    if (v[i] != (terms_[i].is_const() ? terms_[i].id() : v[first])) {
+      return false;
     }
   }
   return true;

@@ -39,8 +39,6 @@ class Atom {
   VarSet KeyVars() const;
   /// vars(F): variables occurring anywhere in the atom.
   VarSet Vars() const;
-  /// Variables in non-key positions (may overlap KeyVars()).
-  VarSet NonKeyVars() const;
 
   /// True iff the atom has no variables.
   bool IsGround() const;

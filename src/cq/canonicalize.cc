@@ -63,14 +63,21 @@ std::string AtomSignature(const Atom& atom,
   return sig;
 }
 
+/// The interned names #v0, #v1, ... and #p0, #p1, ...
+struct CanonicalNames {
+  std::vector<SymbolId> vars;
+  std::vector<SymbolId> params;
+};
+
 /// Renders the query in the given atom order with variables renamed in
 /// first-occurrence order (#v0, #v1, ...) and parameters positionally
-/// (#p0, ...). Returns the key; fills `renamed` with the canonical atoms
-/// when non-null.
+/// (#p0, ...). Returns the key; when `names` is set, also fills
+/// `renamed` with the canonical atoms.
 std::string RenderOrdering(const Query& q, const std::vector<int>& order,
                            const std::map<SymbolId, int>& param_pos,
-                           std::vector<Atom>* renamed) {
-  std::map<SymbolId, int> var_index;  // original var -> #v index
+                           const CanonicalNames* names = nullptr,
+                           std::vector<Atom>* renamed = nullptr) {
+  std::map<SymbolId, size_t> var_index;  // original var -> #v index
   std::string key;
   if (renamed != nullptr) renamed->clear();
   for (int ai : order) {
@@ -89,21 +96,16 @@ std::string RenderOrdering(const Query& q, const std::vector<int>& order,
         AppendSymbol(&key, t.id());
         if (renamed != nullptr) terms.push_back(t);
       } else {
-        std::string name;
         auto pit = param_pos.find(t.id());
-        if (pit != param_pos.end()) {
-          name = "#p" + std::to_string(pit->second);
-        } else {
-          auto [it, inserted] = var_index.emplace(
-              t.id(), static_cast<int>(var_index.size()));
-          name = "#v" + std::to_string(it->second);
-        }
-        key += name;
-        // Interning takes the global interner lock — only pay for it on
-        // the one final render that materializes the canonical atoms,
-        // not on key-only renders (cache hits, tie-break candidates).
+        bool param = pit != param_pos.end();
+        size_t index = param ? pit->second
+                             : var_index.emplace(t.id(), var_index.size())
+                                   .first->second;
+        key += param ? "#p" : "#v";
+        key += std::to_string(index);
         if (renamed != nullptr) {
-          terms.push_back(Term::Var(InternSymbol(name)));
+          terms.push_back(Term::Var(param ? names->params[index]
+                                          : names->vars[index]));
         }
       }
     }
@@ -118,12 +120,12 @@ std::string RenderOrdering(const Query& q, const std::vector<int>& order,
 
 }  // namespace
 
-CanonicalQuery Canonicalize(const Query& q) {
+Result<CanonicalQuery> Canonicalize(const Query& q) {
   return Canonicalize(q, {});
 }
 
-CanonicalQuery Canonicalize(const Query& q,
-                            const std::vector<SymbolId>& params) {
+Result<CanonicalQuery> Canonicalize(const Query& q,
+                                    const std::vector<SymbolId>& params) {
   std::map<SymbolId, int> param_pos;
   for (size_t i = 0; i < params.size(); ++i) {
     param_pos.emplace(params[i], static_cast<int>(i));
@@ -161,7 +163,7 @@ CanonicalQuery Canonicalize(const Query& q,
     i = j;
   }
 
-  std::string best_key = RenderOrdering(q, order, param_pos, nullptr);
+  std::string best_key = RenderOrdering(q, order, param_pos);
   std::vector<int> best_order = order;
   if (!groups.empty() && permutations <= kMaxTiePermutations) {
     // Enumerate the cartesian product of group permutations via
@@ -171,7 +173,7 @@ CanonicalQuery Canonicalize(const Query& q,
       std::sort(candidate.begin() + b, candidate.begin() + e);
     }
     while (true) {
-      std::string key = RenderOrdering(q, candidate, param_pos, nullptr);
+      std::string key = RenderOrdering(q, candidate, param_pos);
       if (key < best_key) {
         best_key = key;
         best_order = candidate;
@@ -190,9 +192,24 @@ CanonicalQuery Canonicalize(const Query& q,
     }
   }
 
+  // The canonical names are interned once per call, not per occurrence,
+  // and before any atom is built, so a name the interner's cap refuses
+  // fails the call cleanly.
+  CanonicalNames names;
+  size_t free_vars = 0;
+  for (SymbolId v : q.Vars()) free_vars += param_pos.count(v) == 0;
+  for (size_t i = 0; i < free_vars + params.size(); ++i) {
+    bool param = i >= free_vars;
+    Result<SymbolId> name = TryInternSymbol(
+        param ? "#p" + std::to_string(i - free_vars)
+              : "#v" + std::to_string(i));
+    if (!name.ok()) return name.status();
+    (param ? names.params : names.vars).push_back(*name);
+  }
+
   CanonicalQuery out;
   std::vector<Atom> atoms;
-  out.key = RenderOrdering(q, best_order, param_pos, &atoms);
+  out.key = RenderOrdering(q, best_order, param_pos, &names, &atoms);
   if (!params.empty()) {
     // The parameter count must live in the key: a parameter that does
     // not occur in q leaves the atoms unchanged, and a Boolean plan and
@@ -202,10 +219,7 @@ CanonicalQuery Canonicalize(const Query& q,
   }
   out.query = Query(std::move(atoms));
   out.hash = Fnv1a(out.key);
-  out.params.reserve(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    out.params.push_back(InternSymbol("#p" + std::to_string(i)));
-  }
+  out.params = std::move(names.params);
   return out;
 }
 

@@ -52,16 +52,17 @@ struct CanonicalQuery {
   uint64_t hash = 0;
 };
 
-/// Canonicalizes a Boolean query.
-CanonicalQuery Canonicalize(const Query& q);
+/// Canonicalizes a Boolean query. Fails (ResourceExhausted) only when a
+/// canonical variable name is new and the interner's cap is reached.
+Result<CanonicalQuery> Canonicalize(const Query& q);
 
 /// Canonicalizes a non-Boolean query: the variables in `params` (the
 /// free variables, in caller order) are renamed positionally to #p_i, so
 /// queries that are α-equivalent *and* bind their parameters in the same
 /// positions share a key. `params` must be distinct; variables of
 /// `params` that do not occur in q are ignored.
-CanonicalQuery Canonicalize(const Query& q,
-                            const std::vector<SymbolId>& params);
+Result<CanonicalQuery> Canonicalize(const Query& q,
+                                    const std::vector<SymbolId>& params);
 
 }  // namespace cqa
 

@@ -39,13 +39,6 @@ Query Query::Substitute(SymbolId var, SymbolId value) const {
   return out;
 }
 
-Query Query::SubstituteAll(
-    const std::vector<std::pair<SymbolId, SymbolId>>& bindings) const {
-  Query out = *this;
-  for (const auto& [var, value] : bindings) out = out.Substitute(var, value);
-  return out;
-}
-
 Query Query::RenameVar(SymbolId from, SymbolId to) const {
   Query out;
   for (const Atom& a : atoms_) out.AddAtom(a.RenameVar(from, to));

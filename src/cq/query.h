@@ -38,10 +38,6 @@ class Query {
   /// Note: substitution can merge previously distinct atoms.
   Query Substitute(SymbolId var, SymbolId value) const;
 
-  /// Simultaneous substitution.
-  Query SubstituteAll(
-      const std::vector<std::pair<SymbolId, SymbolId>>& bindings) const;
-
   /// Replaces variable `from` with variable `to` in every atom.
   Query RenameVar(SymbolId from, SymbolId to) const;
 

@@ -33,13 +33,6 @@ Fact Valuation::Apply(const Atom& atom) const {
   return Fact(atom.relation(), std::move(values), atom.key_arity());
 }
 
-bool Valuation::Covers(const Atom& atom) const {
-  for (const Term& t : atom.terms()) {
-    if (t.is_var() && !Get(t.id()).has_value()) return false;
-  }
-  return true;
-}
-
 std::string Valuation::ToString() const {
   std::ostringstream os;
   os << "{";

@@ -54,9 +54,6 @@ class Valuation {
   /// θ(F): every variable of `atom` must be bound (or be a constant).
   Fact Apply(const Atom& atom) const;
 
-  /// True iff every variable of `atom` is bound.
-  bool Covers(const Atom& atom) const;
-
   std::string ToString() const;
 
  private:

@@ -31,14 +31,6 @@ std::optional<Signature> Schema::Find(SymbolId name) const {
   return it->second;
 }
 
-Status Schema::Merge(const Schema& other) {
-  for (SymbolId rel : other.order_) {
-    Signature sig = *other.Find(rel);
-    CQA_RETURN_NOT_OK(AddRelation(rel, sig.arity, sig.key_arity));
-  }
-  return Status::OK();
-}
-
 std::string Schema::ToString() const {
   std::ostringstream os;
   for (SymbolId rel : order_) {

@@ -43,9 +43,6 @@ class Schema {
   /// All registered relation names, in registration order.
   const std::vector<SymbolId>& relations() const { return order_; }
 
-  /// Merges `other` into this schema; signatures must agree on overlap.
-  Status Merge(const Schema& other);
-
   std::string ToString() const;
 
  private:

@@ -12,8 +12,8 @@ namespace {
 /// Fresh-name factory for the universally quantified block variables.
 class FreshVars {
  public:
-  SymbolId Next() {
-    return InternSymbol("$u" + std::to_string(counter_++));
+  Result<SymbolId> Next() {
+    return TryInternSymbol("$u" + std::to_string(counter_++));
   }
 
  private:
@@ -23,10 +23,12 @@ class FreshVars {
 /// Replaces every frozen variable by a fresh constant so that attack
 /// graphs of subqueries are computed as if those variables were ground
 /// (they are bound by outer quantifiers at evaluation time).
-Query FreezeVars(const Query& q, const VarSet& frozen) {
+Result<Query> FreezeVars(const Query& q, const VarSet& frozen) {
   Query out = q;
   for (SymbolId v : frozen) {
-    out = out.Substitute(v, InternSymbol("$frozen_" + SymbolName(v)));
+    Result<SymbolId> c = TryInternSymbol("$frozen_" + SymbolName(v));
+    if (!c.ok()) return c.status();
+    out = out.Substitute(v, *c);
   }
   return out;
 }
@@ -35,7 +37,9 @@ Result<FormulaPtr> RewriteRec(const Query& q, const VarSet& frozen,
                               FreshVars* fresh) {
   if (q.empty()) return Formula::True();
 
-  Result<AttackGraph> graph = AttackGraph::Compute(FreezeVars(q, frozen));
+  Result<Query> frozen_q = FreezeVars(q, frozen);
+  if (!frozen_q.ok()) return frozen_q.status();
+  Result<AttackGraph> graph = AttackGraph::Compute(*frozen_q);
   if (!graph.ok()) return graph.status();
   std::vector<int> unattacked = graph->UnattackedAtoms();
   if (unattacked.empty()) {
@@ -56,7 +60,9 @@ Result<FormulaPtr> RewriteRec(const Query& q, const VarSet& frozen,
   std::unordered_map<SymbolId, SymbolId> rename;
   std::vector<Term> fresh_terms;
   for (int j = f.key_arity(); j < f.arity(); ++j) {
-    SymbolId u = fresh->Next();
+    Result<SymbolId> next = fresh->Next();
+    if (!next.ok()) return next.status();
+    SymbolId u = *next;
     fresh_terms.push_back(Term::Var(u));
     const Term& t = f.terms()[j];
     if (t.is_const()) {

@@ -30,7 +30,9 @@ PlanCache::Shard& PlanCache::ShardFor(uint64_t hash) const {
 
 Result<std::shared_ptr<const QueryPlan>> PlanCache::GetOrCompile(
     const Query& q) {
-  return GetOrCompileCanonical(Canonicalize(q), Status::OK());
+  Result<CanonicalQuery> canonical = Canonicalize(q);
+  if (!canonical.ok()) return canonical.status();
+  return GetOrCompileCanonical(*std::move(canonical), Status::OK());
 }
 
 Result<std::shared_ptr<const QueryPlan>> PlanCache::GetOrCompile(
@@ -38,7 +40,9 @@ Result<std::shared_ptr<const QueryPlan>> PlanCache::GetOrCompile(
   // Validate against the original query so the error names the caller's
   // variable, then cache the outcome (positive or negative) under the
   // canonical key.
-  CanonicalQuery canonical = Canonicalize(q, free_vars);
+  Result<CanonicalQuery> renamed = Canonicalize(q, free_vars);
+  if (!renamed.ok()) return renamed.status();
+  CanonicalQuery canonical = *std::move(renamed);
   if (!free_vars.empty()) {
     // The canonical rendering cannot distinguish parameter lists whose
     // oddities leave no trace in the renamed atoms: {x, x} (legal
@@ -111,6 +115,9 @@ Result<std::shared_ptr<const QueryPlan>> PlanCache::GetOrCompileCanonical(
       error = compiled.status();
     }
   }
+  // A full symbol space says nothing about the query: cache no negative
+  // entry, so the shape compiles once the interner's cap allows it.
+  if (error.code() == StatusCode::kResourceExhausted) return error;
 
   std::unique_lock<std::shared_mutex> lock(shard.mu);
   auto [it, inserted] = shard.by_key.try_emplace(std::move(key));
@@ -158,10 +165,11 @@ void PlanCache::EvictOverflowLocked(Shard& shard) {
 }
 
 std::shared_ptr<const QueryPlan> PlanCache::Lookup(const Query& q) const {
-  CanonicalQuery canonical = Canonicalize(q);
-  Shard& shard = ShardFor(canonical.hash);
+  Result<CanonicalQuery> canonical = Canonicalize(q);
+  if (!canonical.ok()) return nullptr;
+  Shard& shard = ShardFor(canonical->hash);
   std::shared_lock<std::shared_mutex> lock(shard.mu);
-  auto it = shard.by_key.find(canonical.key);
+  auto it = shard.by_key.find(canonical->key);
   if (it == shard.by_key.end()) return nullptr;
   return it->second.plan;  // null for negative entries.
 }

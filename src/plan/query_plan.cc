@@ -27,10 +27,13 @@ SolverKind KindForComplexity(ComplexityClass complexity) {
 /// Freezes the canonical parameters to constants for classification:
 /// grounding cannot add attacks (Lemma 5), and the attack graph ignores
 /// constant identity, so one classification is valid for every row.
-Query FreezeParams(const Query& q, const std::vector<SymbolId>& params) {
+Result<Query> FreezeParams(const Query& q,
+                           const std::vector<SymbolId>& params) {
   Query frozen = q;
   for (SymbolId v : params) {
-    frozen = frozen.Substitute(v, InternSymbol("$param_" + SymbolName(v)));
+    Result<SymbolId> c = TryInternSymbol("$param_" + SymbolName(v));
+    if (!c.ok()) return c.status();
+    frozen = frozen.Substitute(v, *c);
   }
   return frozen;
 }
@@ -58,13 +61,15 @@ const FoSolver* QueryPlan::fo_solver() const {
 }
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(const Query& q) {
-  return CompileCanonical(Canonicalize(q));
+  return Compile(q, {});
 }
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::Compile(
     const Query& q, const std::vector<SymbolId>& free_vars) {
   CQA_RETURN_NOT_OK(ValidateFreeVars(q, free_vars));
-  return CompileCanonical(Canonicalize(q, free_vars));
+  Result<CanonicalQuery> canonical = Canonicalize(q, free_vars);
+  if (!canonical.ok()) return canonical.status();
+  return CompileCanonical(*std::move(canonical));
 }
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
@@ -74,7 +79,9 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileCanonical(
 
 Result<std::shared_ptr<const QueryPlan>> QueryPlan::CompileForcedSolver(
     const Query& q, SolverKind kind) {
-  CanonicalQuery canonical = Canonicalize(q);
+  Result<CanonicalQuery> renamed = Canonicalize(q);
+  if (!renamed.ok()) return renamed.status();
+  CanonicalQuery canonical = *std::move(renamed);
   if (!canonical.params.empty()) {
     return Status::InvalidArgument(
         "solver override requires a Boolean query");
@@ -95,8 +102,10 @@ Result<std::shared_ptr<const QueryPlan>> QueryPlan::Build(
   // (ValidateFreeVars, run by Compile and by the PlanCache) — the
   // canonical form cannot express it: a duplicated free variable is
   // legal but leaves its later #p_i placeholders without occurrences.
-  Result<Classification> cls = ClassifyQuery(
-      c.params.empty() ? c.query : FreezeParams(c.query, c.params));
+  Result<Query> classified =
+      c.params.empty() ? c.query : FreezeParams(c.query, c.params);
+  if (!classified.ok()) return classified.status();
+  Result<Classification> cls = ClassifyQuery(*classified);
   if (cls.ok()) {
     plan->classification_ = *cls;
     plan->complexity_ = cls->complexity;

@@ -218,8 +218,7 @@ namespace {
 
 struct AckInstance {
   internal::LayeredCycleSolver solver;
-  Database purified;
-  std::vector<Fact> removed_witnesses;
+  PurifiedView view;
   SymbolId s_relation = 0;
 };
 
@@ -229,22 +228,24 @@ Result<AckInstance> BuildInstance(const Database& db, const Query& q,
     return Status::InvalidArgument("query does not match AC(k)");
   }
   int k = shape->cycle.k;
-  AckInstance inst{internal::LayeredCycleSolver(k), Database(), {}, 0};
-  inst.purified = Purify(db, q, &inst.removed_witnesses);
-  inst.s_relation = q.atom(shape->s_atom).relation();
+  AckInstance inst{internal::LayeredCycleSolver(k), PurifyView(db, q),
+                   q.atom(shape->s_atom).relation()};
 
   // Layer of each R relation: position of its key variable in the cycle.
   std::map<SymbolId, int> layer_of;
   for (int i = 0; i < k; ++i) {
     layer_of[q.atom(shape->cycle.atom_order[i]).relation()] = i;
   }
-  for (int fid = 0; fid < inst.purified.size(); ++fid) {
-    const Fact& f = inst.purified.facts()[fid];
-    auto it = layer_of.find(f.relation());
-    if (it != layer_of.end()) {
-      inst.solver.AddEdge(it->second, f.values()[0], f.values()[1], fid);
-    } else if (f.relation() == inst.s_relation) {
-      inst.solver.ForbidCycle(f.values());
+  for (int b = 0; b < static_cast<int>(db.blocks().size()); ++b) {
+    if (!inst.view.kept[b]) continue;
+    for (int fid : db.blocks()[b].fact_ids) {
+      const Fact& f = db.facts()[fid];
+      auto it = layer_of.find(f.relation());
+      if (it != layer_of.end()) {
+        inst.solver.AddEdge(it->second, f.values()[0], f.values()[1], fid);
+      } else if (f.relation() == inst.s_relation) {
+        inst.solver.ForbidCycle(f.values());
+      }
     }
   }
   return inst;
@@ -274,15 +275,18 @@ Result<std::optional<std::vector<Fact>>> AckSolver::FindFalsifyingRepair(
   call.certain = !choice.has_value();
   stats_.Record(call);
   if (!choice.has_value()) return std::optional<std::vector<Fact>>();
+  const Database& db = ctx.db();
   std::vector<Fact> repair;
   // Chosen R facts (one per R block, i.e. per vertex).
-  for (int fid : *choice) repair.push_back(inst->purified.facts()[fid]);
-  // All S facts (all-key: singleton blocks belong to every repair).
-  for (const Fact& f : inst->purified.facts()) {
-    if (f.relation() == inst->s_relation) repair.push_back(f);
+  for (int fid : *choice) repair.push_back(db.facts()[fid]);
+  // Surviving S facts (all-key: singleton blocks are in every repair).
+  for (int b = 0; b < static_cast<int>(db.blocks().size()); ++b) {
+    if (inst->view.kept[b] && db.blocks()[b].relation == inst->s_relation) {
+      repair.push_back(db.facts()[db.blocks()[b].fact_ids[0]]);
+    }
   }
   // Witnesses of blocks removed during purification (Lemma 1 lift).
-  for (const Fact& f : inst->removed_witnesses) repair.push_back(f);
+  for (int fid : inst->view.witnesses) repair.push_back(db.facts()[fid]);
   return std::optional<std::vector<Fact>>(std::move(repair));
 }
 

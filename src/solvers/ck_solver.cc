@@ -21,7 +21,8 @@ Result<SolverCall> CkSolver::Decide(EvalContext& ctx) const {
     return Status::InvalidArgument("query does not match C(k)");
   }
   int k = shape->k;
-  Database purified = Purify(ctx.db(), q);
+  const Database& db = ctx.db();
+  PurifiedView view = PurifyView(db, q);
 
   internal::LayeredCycleSolver solver(k);
   solver.ForbidAllKCycles();
@@ -29,11 +30,14 @@ Result<SolverCall> CkSolver::Decide(EvalContext& ctx) const {
   for (int i = 0; i < k; ++i) {
     layer_of[q.atom(shape->atom_order[i]).relation()] = i;
   }
-  for (int fid = 0; fid < purified.size(); ++fid) {
-    const Fact& f = purified.facts()[fid];
-    auto it = layer_of.find(f.relation());
-    if (it == layer_of.end()) continue;
-    solver.AddEdge(it->second, f.values()[0], f.values()[1], fid);
+  for (int b = 0; b < static_cast<int>(db.blocks().size()); ++b) {
+    if (!view.kept[b]) continue;
+    for (int fid : db.blocks()[b].fact_ids) {
+      const Fact& f = db.facts()[fid];
+      auto it = layer_of.find(f.relation());
+      if (it == layer_of.end()) continue;
+      solver.AddEdge(it->second, f.values()[0], f.values()[1], fid);
+    }
   }
   SolverCall call;
   call.certain = !solver.FindFalsifyingChoice().has_value();
@@ -49,7 +53,9 @@ Result<bool> CkSolver::IsCertainViaLemma9(const Database& db) const {
   int k = shape->k;
   // Build AC(k) over the same relation names plus a fresh S relation.
   Query ack = q;
-  SymbolId s_rel = InternSymbol("$S" + std::to_string(k));
+  Result<SymbolId> s_name = TryInternSymbol("$S" + std::to_string(k));
+  if (!s_name.ok()) return s_name.status();
+  SymbolId s_rel = *s_name;
   std::vector<Term> s_terms;
   s_terms.reserve(k);
   for (SymbolId v : shape->var_cycle) s_terms.push_back(Term::Var(v));

@@ -31,21 +31,12 @@ std::vector<SymbolId> DistinctKeyVars(const Atom& atom) {
 /// Returns false when the fact does not match the atom's pattern.
 bool ExtractBinding(const Atom& atom, const Fact& fact,
                     std::map<SymbolId, SymbolId>* binding) {
-  if (atom.relation() != fact.relation() || atom.arity() != fact.arity()) {
-    return false;
-  }
-  std::map<SymbolId, SymbolId> local;
+  if (!atom.Matches(fact)) return false;
+  binding->clear();
   for (int i = 0; i < atom.arity(); ++i) {
     const Term& t = atom.terms()[i];
-    SymbolId v = fact.values()[i];
-    if (t.is_const()) {
-      if (t.id() != v) return false;
-    } else {
-      auto [it, inserted] = local.emplace(t.id(), v);
-      if (!inserted && it->second != v) return false;
-    }
+    if (t.is_var()) (*binding)[t.id()] = fact.values()[i];
   }
-  *binding = std::move(local);
   return true;
 }
 

@@ -171,6 +171,15 @@ SymbolId InternSymbol(std::string_view s) {
   return GlobalInterner().Intern(s);
 }
 
+Result<SymbolId> TryInternSymbol(std::string_view s) {
+  Interner& interner = GlobalInterner();
+  std::optional<SymbolId> id = interner.TryIntern(s);
+  if (id.has_value()) return *id;
+  return Status::ResourceExhausted(
+      "symbol space exhausted: no new symbols past the cap of " +
+      std::to_string(interner.max_symbols()));
+}
+
 const std::string& SymbolName(SymbolId id) {
   return GlobalInterner().Lookup(id);
 }

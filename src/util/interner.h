@@ -11,6 +11,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "util/status.h"
+
 /// \file
 /// Global string interning. Constants, variables and relation names are
 /// represented as dense 32-bit ids so the hot joins/closures never touch
@@ -138,6 +140,10 @@ Interner& GlobalInterner();
 
 /// Convenience wrappers over the global interner.
 SymbolId InternSymbol(std::string_view s);
+
+/// InternSymbol for names the library mints (fresh, canonical variables):
+/// ResourceExhausted, not a stopped process, past the cap.
+Result<SymbolId> TryInternSymbol(std::string_view s);
 const std::string& SymbolName(SymbolId id);
 
 }  // namespace cqa

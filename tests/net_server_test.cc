@@ -330,6 +330,41 @@ TEST_F(WireServerTest, FreshNamesPastTheSymbolCapAreRefused) {
   EXPECT_TRUE(known->certain);
 }
 
+TEST_F(WireServerTest, NewQueryShapePastTheSymbolCapIsRefused) {
+  StartServer();
+  ASSERT_TRUE(client_.CreateDatabase("db", DemoDatabase()).ok());
+  SolveCall known_solve{"db", "", CertainBoolQuery()};
+  ASSERT_TRUE(client_.Solve(known_solve).ok());
+  // A 30-atom path whose names are all interned here, before the cap
+  // drops. No smaller shape needed its canonical variable #v30 or its
+  // rewriting's fresh variables, so compiling it must mint names.
+  std::vector<Atom> atoms;
+  for (int i = 0; i < 30; ++i) {
+    atoms.push_back(Atom::Make("CapPath" + std::to_string(i),
+                               {"x" + std::to_string(i),
+                                "x" + std::to_string(i + 1)},
+                               1));
+  }
+  Query shape(std::move(atoms));
+  PrepareRequest prepare{shape, {}, ""};
+  SolveCall ad_hoc{"db", "", shape};
+
+  Interner& interner = GlobalInterner();
+  size_t saved = interner.max_symbols();
+  interner.set_max_symbols(interner.size());
+  Result<PrepareResponse> refused = client_.Prepare(prepare);
+  Result<SolveReply> refused_solve = client_.Solve(ad_hoc);
+  Result<SolveReply> known = client_.Solve(known_solve);
+  interner.set_max_symbols(saved);
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(refused_solve.status().code(), StatusCode::kResourceExhausted);
+  // The server is still up, and the connection serves a known plan.
+  ASSERT_TRUE(known.ok()) << known.status();
+  EXPECT_TRUE(known->certain);
+  // The refusal cached nothing: with room, the same shape compiles.
+  EXPECT_TRUE(client_.Prepare(prepare).ok());
+}
+
 TEST_F(WireServerTest, FramingErrorIsConnectionFatalWithTerminalNotice) {
   StartServer();
   ASSERT_TRUE(client_.SendRaw("XXXX not a frame").ok());

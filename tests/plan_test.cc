@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "cq/canonicalize.h"
 #include "cq/corpus.h"
 #include "cq/parser.h"
 #include "gen/db_gen.h"
@@ -398,6 +400,47 @@ TEST(QueryPlanTest, ParameterizedPlanMatchesGroundSolve) {
     ASSERT_TRUE(solved.ok());
     EXPECT_EQ(*via_plan, solved->certain);
   }
+}
+
+/// R0(x0 | x1), ..., R<n-1>(x<n-1> | x<n>) over relations named
+/// `prefix`<i>: an FO-rewritable path with n + 1 variables.
+Query PathShape(const std::string& prefix, int n) {
+  std::vector<Atom> atoms;
+  for (int i = 0; i < n; ++i) {
+    atoms.push_back(Atom::Make(prefix + std::to_string(i),
+                               {"x" + std::to_string(i),
+                                "x" + std::to_string(i + 1)},
+                               1));
+  }
+  return Query(std::move(atoms));
+}
+
+TEST(QueryPlanTest, NewShapePastTheSymbolCapFailsCleanly) {
+  // Every name the two queries carry, and their canonical variables, are
+  // interned before the cap drops; only the names compiling them mints
+  // are new: the rewriting's fresh and frozen variables, and the frozen
+  // parameters of the parameterized plan.
+  Query boolean = PathShape("CapBool", 24);
+  Query with_params = PathShape("CapParam", 24);
+  std::vector<SymbolId> params;
+  for (int i = 0; i < 24; ++i) {
+    params.push_back(InternSymbol("x" + std::to_string(i)));
+  }
+  ASSERT_TRUE(Canonicalize(boolean).ok());
+  ASSERT_TRUE(Canonicalize(with_params, params).ok());
+
+  Interner& interner = GlobalInterner();
+  size_t saved = interner.max_symbols();
+  interner.set_max_symbols(interner.size());
+  Result<std::shared_ptr<const QueryPlan>> rewritten =
+      QueryPlan::Compile(boolean);
+  Result<std::shared_ptr<const QueryPlan>> frozen =
+      QueryPlan::Compile(with_params, params);
+  interner.set_max_symbols(saved);
+  EXPECT_EQ(rewritten.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(frozen.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(QueryPlan::Compile(boolean).ok());
+  EXPECT_TRUE(QueryPlan::Compile(with_params, params).ok());
 }
 
 }  // namespace
